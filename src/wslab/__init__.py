@@ -65,16 +65,11 @@ from .oracle import (
     tolerance,
 )
 from .pairing import (
-    PairedSamples,
     between_class_differences,
-    pair_samples,
     sym_inverse_sqrt,
     whitened_pair_differences,
 )
 from .theory import (
-    RateSpec,
-    RegimeLabel,
-    classify_regime,
     hyperbolic_bound_check,
     info_rate,
     likelihood_cross_moment,

@@ -146,14 +146,10 @@ def _run_sweep(cfg: dict, alphas: list[float], gammas: list[float]) -> list:
         trials=int(cfg["trials"]),
         seed=int(cfg["seed"]),
     )
-    if cfg["threads"] is None:
-        threads = os.cpu_count() or 1
-    else:
-        threads = int(cfg["threads"])
     return sweep_phase_diagram(
         grid,
         tests=tuple(cfg["tests"]),
-        threads=threads,
+        threads=1 if cfg["threads"] is None else int(cfg["threads"]),
         null_mu_scale=float(cfg["C0"]),
         sigma=sigma_from_spec(cfg["sigma"], int(cfg["d"])),
         R=float(cfg["R"]),
@@ -242,7 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--svg", type=str, default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility; sweeps run serially")
         if name in ("sweep", "risk"):
             p.add_argument("--tests", type=str, default=None,
                            help="comma-separated subset of " + ",".join(SWEEP_TESTS))
@@ -262,8 +259,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _apply_overrides(_load_config(args.config), args)
         return _COMMANDS[args.command](cfg)
     except (CombinatorialBudgetError, BudgetExceededError) as exc:
-        n_supports = "reduce s or d, or raise support_budget"
-        print(f"budget error: {exc} ({n_supports})", file=sys.stderr)
+        print(f"budget error: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, WslabError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

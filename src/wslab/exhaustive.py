@@ -94,7 +94,7 @@ def _check_support_budget(d: int, s: int, budget: int) -> None:
     if count > budget:
         raise CombinatorialBudgetError(
             f"enumerating C({d},{s}) = {count} supports exceeds the budget of {budget}; "
-            f"raise support_budget to at least {count} or reduce s"
+            "reduce s or d"
         )
 
 
@@ -193,21 +193,6 @@ class ExhaustiveResult:
     @property
     def reject(self) -> bool:
         return self.variance_search.reject or self.peak_coordinate.reject
-
-    @property
-    def combined(self) -> TestResult:
-        """Single-result view: rejection margin of the better sub-test vs 0."""
-        margin = max(
-            self.variance_search.statistic - self.variance_search.threshold,
-            self.peak_coordinate.statistic - self.peak_coordinate.threshold,
-        )
-        fired = (
-            "variance_search"
-            if self.variance_search.statistic - self.variance_search.threshold
-            >= self.peak_coordinate.statistic - self.peak_coordinate.threshold
-            else "peak_coordinate"
-        )
-        return TestResult.decide(margin, 0.0, detail=fired)
 
 
 def run_exhaustive_test(

@@ -7,8 +7,8 @@ Conventions
   default thresholds are evaluated at that pair count; the query-based test
   runs its oracle over all ``n`` samples.
 * Every random draw comes from a substream derived from the grid seed and a
-  structural key ``(purpose, cell, trial, arm)``, so results are identical
-  for any worker count and any execution order.
+  structural key ``(purpose, cell, trial, arm)``, so results do not depend
+  on execution order.
 * Risk at a grid point is evaluated at a representative model pair (a null
   with a configurable mean and one seeded sparse alternative whose
   separation equals ``gamma`` exactly; for identity covariance its
@@ -19,8 +19,6 @@ Conventions
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -29,7 +27,7 @@ import numpy as np
 from .errors import ValidationError
 from .exhaustive import Thresholds, default_thresholds, run_exhaustive_test
 from .model import AltSpec, Dataset, ModelParams, make_restricted_alternative, sample_dataset
-from .oracle import AdversarialPairOracle, EmpiricalOracle, GapRecord, OracleConfig
+from .oracle import AdversarialPairOracle, EmpiricalOracle, GapRecord
 from .seeding import spawn_rng
 from .tractable import (
     TractableConfig,
@@ -241,75 +239,58 @@ def sweep_phase_diagram(
     all-ones vector (zero by default; a positive value stresses truncation
     bias in the query family). ``sigma`` is the known covariance (identity
     by default); its condition number enters the exhaustive thresholds.
-    Rows come back in (alpha, gamma, test) order and are identical for every
-    ``threads`` setting; the worker pool is capped at the host core count,
-    since oversubscribing threads only adds contention.
+    Rows come back in (alpha, gamma, test) order. The sweep runs serially;
+    ``threads`` is validated but has no effect.
     """
     for name in tests:
         if name not in SWEEP_TESTS:
             raise ValidationError(f"unknown test {name!r}; choose from {SWEEP_TESTS}")
     if threads < 1:
         raise ValidationError(f"threads must be positive, got {threads}")
-    workers = min(threads, os.cpu_count() or 1)
     sigma = np.eye(grid.d) if sigma is None else np.asarray(sigma, dtype=float)
     pair_count = grid.n // 2
     thresholds = default_thresholds(grid.d, grid.s, max(pair_count, 1), sigma)
     tcfg = TractableConfig(d=grid.d, n=grid.n, R=R, C=C, xi=xi)
+    # Monte Carlo procedures; the adversarial test is settled analytically
+    procedures = {
+        "exhaustive": exhaustive_procedure(sigma, grid.s, thresholds, support_budget),
+        "tractable_honest": tractable_procedure(tcfg, sigma),
+    }
 
-    cells = [(ia, ig) for ia in range(len(grid.alpha_values)) for ig in range(len(grid.gamma_values))]
-
-    def run_cell(cell_index: int) -> list[SweepRow]:
-        ia, ig = cells[cell_index]
-        theta0, theta1, beta = _cell_models(grid, ia, ig, null_mu_scale, sigma)
-        rows: list[SweepRow] = []
-        for test_index, name in enumerate(tests):
-            if name == "exhaustive":
-                proc = exhaustive_procedure(sigma, grid.s, thresholds, support_budget)
-                est = estimate_risk(
-                    proc,
-                    theta0,
-                    theta1,
-                    grid.n,
-                    grid.trials,
-                    spawn_rng(grid.seed, _TRIALS_KEY, ia, ig, test_index),
+    rows: list[SweepRow] = []
+    for ia, alpha in enumerate(grid.alpha_values):
+        for ig, gamma in enumerate(grid.gamma_values):
+            theta0, theta1, beta = _cell_models(grid, ia, ig, null_mu_scale, sigma)
+            for test_index, name in enumerate(tests):
+                if name == "tractable_adversarial":
+                    est = _adversarial_cell_estimate(theta0, theta1, tcfg, grid.trials)
+                else:
+                    est = estimate_risk(
+                        procedures[name],
+                        theta0,
+                        theta1,
+                        grid.n,
+                        grid.trials,
+                        spawn_rng(grid.seed, _TRIALS_KEY, ia, ig, test_index),
+                    )
+                rows.append(
+                    SweepRow(
+                        alpha=alpha,
+                        gamma=gamma,
+                        beta=beta,
+                        test=name,
+                        d=grid.d,
+                        s=grid.s,
+                        n=grid.n,
+                        trials=grid.trials,
+                        type1=est.type1,
+                        type2=est.type2,
+                        risk=est.risk,
+                        half_width=est.half_width,
+                        seed=grid.seed,
+                    )
                 )
-            elif name == "tractable_honest":
-                proc = tractable_procedure(tcfg, sigma)
-                est = estimate_risk(
-                    proc,
-                    theta0,
-                    theta1,
-                    grid.n,
-                    grid.trials,
-                    spawn_rng(grid.seed, _TRIALS_KEY, ia, ig, test_index),
-                )
-            else:  # tractable_adversarial
-                est = _adversarial_cell_estimate(theta0, theta1, tcfg, grid.trials)
-            rows.append(
-                SweepRow(
-                    alpha=grid.alpha_values[ia],
-                    gamma=grid.gamma_values[ig],
-                    beta=beta,
-                    test=name,
-                    d=grid.d,
-                    s=grid.s,
-                    n=grid.n,
-                    trials=grid.trials,
-                    type1=est.type1,
-                    type2=est.type2,
-                    risk=est.risk,
-                    half_width=est.half_width,
-                    seed=grid.seed,
-                )
-            )
-        return rows
-
-    if workers <= 1:
-        per_cell = [run_cell(i) for i in range(len(cells))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_cell = list(pool.map(run_cell, range(len(cells))))
-    return [row for rows in per_cell for row in rows]
+    return rows
 
 
 _SWEEP_COLUMNS = (

@@ -1,8 +1,8 @@
 """Dependency-free SVG heatmap for sweep results.
 
 One panel per test, alpha on the x axis, gamma on a log y axis, cell color
-mapped linearly from risk 1 (red) to risk 0 (green), with both rate
-boundaries overlaid as curves.
+mapped linearly from risk 0 (green) to risk 1 (red) and held at red above
+risk 1, with both rate boundaries overlaid as curves.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .errors import ValidationError
 from .experiments import SweepRow
 from .theory import info_rate, tractable_rate
 
@@ -26,7 +27,7 @@ _GREEN = (58, 170, 88)
 
 
 def _risk_color(risk: float) -> str:
-    t = min(max(risk / 2.0 if risk > 1.0 else risk, 0.0), 1.0)
+    t = min(max(risk, 0.0), 1.0)
     r = round(_GREEN[0] + t * (_RED[0] - _GREEN[0]))
     g = round(_GREEN[1] + t * (_RED[1] - _GREEN[1]))
     b = round(_GREEN[2] + t * (_RED[2] - _GREEN[2]))
@@ -35,7 +36,7 @@ def _risk_color(risk: float) -> str:
 
 def render_heatmap_svg(rows: Sequence[SweepRow]) -> str:
     if not rows:
-        raise ValueError("no sweep rows to render")
+        raise ValidationError("no sweep rows to render")
     tests = sorted({r.test for r in rows})
     alphas = sorted({r.alpha for r in rows})
     gammas = sorted({r.gamma for r in rows})

@@ -31,7 +31,6 @@ __all__ = [
     "sample_dataset",
     "sample_with_latent",
     "sigma_from_spec",
-    "identity_sigma",
 ]
 
 # Covariances with condition number above this are rejected rather than
@@ -249,10 +248,6 @@ def sample_dataset(theta: ModelParams, n: int, rng: np.random.Generator) -> Data
     """Draw ``n`` i.i.d. samples of ``(Y, X)`` under ``theta``."""
     data, _ = sample_with_latent(theta, n, rng)
     return data
-
-
-def identity_sigma(d: int) -> np.ndarray:
-    return np.eye(d)
 
 
 def sigma_from_spec(spec: object, d: int) -> np.ndarray:

@@ -361,11 +361,14 @@ class AdversarialPairOracle:
         self.theta0 = theta0
         self.theta1 = theta1
         self.cfg = cfg
-        self._records: dict[str, GapRecord] = {}
-        self._null_values: dict[str, float] = {}
+        # keyed by what a record is computed from, not by the query's id,
+        # so a reused id with another truncation gets its own record
+        self._records: dict[tuple[TruncatedQuerySpec, float], GapRecord] = {}
+        self._null_values: dict[tuple[TruncatedQuerySpec, float], float] = {}
 
     def assess(self, q: BoundedQuery) -> GapRecord:
-        record = self._records.get(q.id)
+        key = (q.analytic, q.bound_M)
+        record = self._records.get(key)
         if record is not None:
             return record
         e0 = analytic_expectation(q, self.theta0)
@@ -373,8 +376,8 @@ class AdversarialPairOracle:
         tau = tolerance(q, e1, self.cfg)
         gap = abs(e1 - e0)
         record = GapRecord(query_id=q.id, gap=gap, tolerance=tau, flagged=gap > tau)
-        self._records[q.id] = record
-        self._null_values[q.id] = e0
+        self._records[key] = record
+        self._null_values[key] = e0
         return record
 
     @property
@@ -399,5 +402,5 @@ class AdversarialPairOracle:
                 theta = self.parent.theta1 if self.true_model == 1 else self.parent.theta0
                 value = analytic_expectation(q, theta)
             else:
-                value = self.parent._null_values[q.id]
+                value = self.parent._null_values[(q.analytic, q.bound_M)]
             return OracleResponse(value=value, tolerance_used=record.tolerance, query_id=q.id)

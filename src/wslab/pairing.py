@@ -8,19 +8,15 @@ mean, which may be dense, while preserving the mean split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonSPDError, OneClassMissingError, TooFewSamplesError
 from .model import Dataset
 
 __all__ = [
-    "PairedSamples",
     "sym_inverse_sqrt",
     "whitened_pair_differences",
     "between_class_differences",
-    "pair_samples",
 ]
 
 
@@ -81,26 +77,3 @@ def between_class_differences(data: Dataset) -> np.ndarray:
     if m == 0:
         raise OneClassMissingError("both observed labels must be present to form class differences")
     return x1[:m] - x0[:m]
-
-
-@dataclass(frozen=True)
-class PairedSamples:
-    """Both derived sample sets for one dataset."""
-
-    w: np.ndarray
-    u: np.ndarray
-
-    @property
-    def n_w(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def n_u(self) -> int:
-        return self.u.shape[0]
-
-
-def pair_samples(data: Dataset, sigma: np.ndarray) -> PairedSamples:
-    return PairedSamples(
-        w=whitened_pair_differences(data, sigma),
-        u=between_class_differences(data),
-    )

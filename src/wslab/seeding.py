@@ -1,16 +1,16 @@
 """Deterministic random-stream derivation.
 
 All randomness flows from a single master seed through named substreams, so
-serial and parallel executions of the same experiment produce identical
-results. Substreams are derived with ``numpy``'s ``SeedSequence`` spawn keys,
-which are stable across platforms and numpy releases.
+results do not depend on the order in which work runs. Substreams are derived
+with ``numpy``'s ``SeedSequence`` spawn keys, which are stable across
+platforms and numpy releases.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["spawn_rng", "spawn_children"]
+__all__ = ["spawn_rng"]
 
 
 def spawn_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -21,13 +21,3 @@ def spawn_rng(master_seed: int, *key: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
     return np.random.default_rng(ss)
-
-
-def spawn_children(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` independent child generators from ``rng``.
-
-    Children depend only on the parent's seed sequence, not on how much of
-    the parent stream was consumed, so the derivation commutes with any
-    interleaving of work.
-    """
-    return list(rng.spawn(n))

@@ -7,8 +7,7 @@ Two SNR boundaries partition the supervision/signal plane:
 
 Below the first, every test is asymptotically powerless; between them only
 super-polynomial query strategies can succeed; above the second an efficient
-test exists. Both boundaries hold up to absolute constants, so regime
-classification takes an explicit margin.
+test exists. Both boundaries hold up to absolute constants.
 
 The lower-bound machinery rests on two exact facts that this module also
 evaluates and verifies numerically: the cross moment of two restricted
@@ -20,8 +19,6 @@ closed form over support overlaps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
 
 import numpy as np
@@ -29,11 +26,8 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
-    "RegimeLabel",
-    "RateSpec",
     "info_rate",
     "tractable_rate",
-    "classify_regime",
     "likelihood_cross_moment",
     "mc_likelihood_cross_moment",
     "mixture_chi_square",
@@ -41,12 +35,6 @@ __all__ = [
     "hyperbolic_bound_check",
     "log_hyperbolic_moment",
 ]
-
-
-class RegimeLabel(Enum):
-    IMPOSSIBLE = "impossible"
-    INTRACTABLE = "intractable"
-    EFFICIENT = "efficient"
 
 
 def _check_sizes(d: int, s: int, n: int, alpha: float) -> None:
@@ -77,49 +65,6 @@ def tractable_rate(d: int, s: int, n: int, alpha: float) -> float:
     """Computationally tractable SNR boundary ``sqrt(s^2 / n) ^ (s log d / (alpha^2 n))``."""
     _check_sizes(d, s, n, alpha)
     return min(s / math.sqrt(n), _supervised_branch(d, s, n, alpha))
-
-
-@dataclass(frozen=True)
-class RateSpec:
-    """Both boundaries evaluated at one problem size."""
-
-    gamma_info: float
-    gamma_tract: float
-    d: int
-    s: int
-    n: int
-    alpha: float
-
-    @classmethod
-    def evaluate(cls, d: int, s: int, n: int, alpha: float) -> "RateSpec":
-        return cls(
-            gamma_info=info_rate(d, s, n, alpha),
-            gamma_tract=tractable_rate(d, s, n, alpha),
-            d=d,
-            s=s,
-            n=n,
-            alpha=alpha,
-        )
-
-
-def classify_regime(gamma: float, rates: RateSpec, margin: float = 1.0) -> RegimeLabel:
-    """Assign a regime to signal strength ``gamma``.
-
-    ``margin >= 1`` widens the intractable band to absorb the unspecified
-    absolute constants in both boundaries: impossible below
-    ``gamma_info / margin``, efficient at or above ``gamma_tract * margin``,
-    intractable in between. With ``margin = 1`` and coinciding boundaries the
-    intractable band is empty.
-    """
-    if gamma < 0:
-        raise ValidationError(f"gamma must be nonnegative, got {gamma}")
-    if margin < 1.0:
-        raise ValidationError(f"margin must be at least 1, got {margin}")
-    if gamma < rates.gamma_info / margin:
-        return RegimeLabel.IMPOSSIBLE
-    if gamma >= rates.gamma_tract * margin:
-        return RegimeLabel.EFFICIENT
-    return RegimeLabel.INTRACTABLE
 
 
 # ---------------------------------------------------------------------------

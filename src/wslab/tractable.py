@@ -40,7 +40,6 @@ __all__ = [
     "signed_mean_test",
     "run_tractable_test",
     "decisions_from_responses",
-    "transcript_to_csv",
 ]
 
 
@@ -238,18 +237,6 @@ def decisions_from_responses(
         signed=signed_mean_test(values[2 * d :], cfg),
         transcript=tuple(responses),
     )
-
-
-def transcript_to_csv(
-    responses: tuple[OracleResponse, ...] | list[OracleResponse],
-    header_lines: tuple[str, ...] | list[str] = (),
-) -> str:
-    """Serialize a response transcript as ``query_id,response,tolerance`` rows."""
-    out = [f"# {line}" for line in header_lines]
-    out.append("query_id,response,tolerance")
-    for r in responses:
-        out.append(f"{r.query_id},{r.value!r},{r.tolerance_used!r}")
-    return "\n".join(out) + "\n"
 
 
 def run_tractable_test(

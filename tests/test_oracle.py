@@ -290,3 +290,19 @@ def test_adversarial_report_gap_vs_tolerance_fields():
             oracle.tolerance(q, e1, default_oracle_config(cfg)), rel=1e-12
         )
         assert rec.flagged == (rec.gap > rec.tolerance)
+
+
+def test_adversarial_records_follow_the_query_spec_not_its_id():
+    # a reused id with another truncation or bound must not return a stale record
+    theta0, theta1 = _pair(alpha=0.5, beta=1.0)
+    cfg = default_oracle_config(TractableConfig(d=4, n=200))
+
+    def query(trunc: float, bound: float) -> oracle.BoundedQuery:
+        spec = oracle.TruncatedQuerySpec("signed_label_mean", 0, trunc, 1.0)
+        return oracle.BoundedQuery(id="q", evaluate=lambda y, x: x[:, 0], bound_M=bound, analytic=spec)
+
+    adv = oracle.AdversarialPairOracle(theta0, theta1, cfg)
+    adv.assess(query(1.0, 1.0))
+    for q in (query(3.0, 3.0), query(1.0, 2.0)):
+        assert adv.assess(q) == oracle.AdversarialPairOracle(theta0, theta1, cfg).assess(q)
+    assert len(adv.report) == 3

@@ -135,11 +135,3 @@ def test_projected_pair_difference_mixture_moments():
     sq = proj**2
     se2 = sq.std(ddof=1) / math.sqrt(sq.size)
     assert abs(sq.mean() - mix_second) <= 5 * se2
-
-
-def test_pair_samples_bundle():
-    theta = model.ModelParams(np.zeros(2), np.zeros(2), np.eye(2), 0.5)
-    data = model.sample_dataset(theta, 101, stream(17))
-    ps = pairing.pair_samples(data, np.eye(2))
-    assert ps.n_w == 50
-    assert ps.n_u == min(np.sum(data.labels == 0), np.sum(data.labels == 1))

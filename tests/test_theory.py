@@ -79,36 +79,15 @@ def test_rate_monotone_in_alpha_and_n():
 
 
 def test_classify_regime_golden():
-    # s >= log d and small alpha: the two boundaries genuinely separate
-    rates = theory.RateSpec.evaluate(100, 5, 1000, 0.1)
-    assert rates.gamma_info < rates.gamma_tract
-    assert theory.classify_regime(0.0, rates) is theory.RegimeLabel.IMPOSSIBLE
-    assert theory.classify_regime(100 * rates.gamma_tract, rates, margin=2.0) is (
-        theory.RegimeLabel.EFFICIENT
-    )
-    mid = 0.5 * (rates.gamma_info + rates.gamma_tract)
-    assert theory.classify_regime(mid, rates) is theory.RegimeLabel.INTRACTABLE
+    # s >= log d and small alpha: the two boundaries genuinely separate, so
+    # the intractable band between them is non-empty
+    assert theory.info_rate(100, 5, 1000, 0.1) < theory.tractable_rate(100, 5, 1000, 0.1)
 
 
 def test_intractable_band_collapses_when_rates_coincide():
     # fully supervised with s log d <= n: both boundaries sit on the shared
-    # supervised branch, so the band vanishes at margin 1
-    rates = theory.RateSpec.evaluate(100, 2, 1000, 1.0)
-    assert rates.gamma_info == rates.gamma_tract
-    labels = {
-        theory.classify_regime(g, rates, margin=1.0)
-        for g in np.linspace(0.0, 3 * rates.gamma_tract, 50)
-    }
-    assert theory.RegimeLabel.INTRACTABLE not in labels
-
-
-def test_classify_regime_margin_widens_band():
-    rates = theory.RateSpec.evaluate(100, 5, 1000, 0.1)
-    g = rates.gamma_info
-    assert theory.classify_regime(g, rates, margin=1.0) is not theory.RegimeLabel.IMPOSSIBLE
-    assert theory.classify_regime(g / 1.5, rates, margin=2.0) is theory.RegimeLabel.INTRACTABLE
-    with pytest.raises(errors.ValidationError):
-        theory.classify_regime(g, rates, margin=0.5)
+    # supervised branch, so the band vanishes
+    assert theory.info_rate(100, 2, 1000, 1.0) == theory.tractable_rate(100, 2, 1000, 1.0)
 
 
 def test_cross_moment_goldens():
