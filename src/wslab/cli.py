@@ -237,10 +237,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--svg", type=str, default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility; sweeps run serially")
+        if name == "sweep":
+            p.add_argument("--svg", type=str, default=None)
         if name in ("sweep", "risk"):
+            p.add_argument("--threads", type=int, default=None,
+                           help="accepted for compatibility; sweeps run serially")
             p.add_argument("--tests", type=str, default=None,
                            help="comma-separated subset of " + ",".join(SWEEP_TESTS))
         if name == "verify":

@@ -34,7 +34,6 @@ from .tractable import (
     build_queries,
     decisions_from_responses,
     default_oracle_config,
-    run_tractable_test,
 )
 
 __all__ = [
@@ -124,11 +123,15 @@ def exhaustive_procedure(
 
 
 def tractable_procedure(cfg: TractableConfig, sigma: np.ndarray) -> TestProcedure:
-    """Dataset-to-decision wrapper: honest empirical oracle over the dataset."""
+    """Dataset-to-decision wrapper: honest empirical oracle over the dataset.
+
+    The query family and the oracle configuration are built once, here.
+    """
+    queries = build_queries(cfg, sigma)
+    ocfg = default_oracle_config(cfg)
 
     def test(data: Dataset) -> bool:
-        oracle = EmpiricalOracle(data, default_oracle_config(cfg))
-        return run_tractable_test(oracle, cfg, sigma).reject
+        return decisions_from_responses(EmpiricalOracle(data, ocfg).query_all(queries), cfg).reject
 
     return test
 
@@ -206,20 +209,28 @@ def _cell_models(
     return theta0, theta1, beta
 
 
-def _adversarial_cell_estimate(
-    theta0: ModelParams, theta1: ModelParams, cfg: TractableConfig, trials: int
-) -> RiskEstimate:
-    # The pair oracle responds deterministically from analytic expectations,
-    # so one evaluation per arm settles every trial.
-    sigma = np.asarray(theta0.sigma)
-    adv = AdversarialPairOracle(theta0, theta1, default_oracle_config(cfg))
-    reject_null = run_tractable_test(adv.policy(0), cfg, sigma).reject
-    reject_alt = run_tractable_test(adv.policy(1), cfg, sigma).reject
-    return RiskEstimate(
-        type1=1.0 if reject_null else 0.0,
-        type2=0.0 if reject_alt else 1.0,
-        trials=trials,
-    )
+def _adversarial_procedure(
+    cfg: TractableConfig, sigma: np.ndarray
+) -> Callable[[ModelParams, ModelParams, int], RiskEstimate]:
+    """Cell-to-risk wrapper around the adversarial pair oracle.
+
+    The pair oracle responds deterministically from analytic expectations,
+    so one evaluation per arm settles every trial.
+    """
+    queries = build_queries(cfg, sigma)
+    ocfg = default_oracle_config(cfg)
+
+    def estimate(theta0: ModelParams, theta1: ModelParams, trials: int) -> RiskEstimate:
+        adv = AdversarialPairOracle(theta0, theta1, ocfg)
+        reject_null = decisions_from_responses(adv.policy(0).query_all(queries), cfg).reject
+        reject_alt = decisions_from_responses(adv.policy(1).query_all(queries), cfg).reject
+        return RiskEstimate(
+            type1=1.0 if reject_null else 0.0,
+            type2=0.0 if reject_alt else 1.0,
+            trials=trials,
+        )
+
+    return estimate
 
 
 def sweep_phase_diagram(
@@ -251,11 +262,13 @@ def sweep_phase_diagram(
     pair_count = grid.n // 2
     thresholds = default_thresholds(grid.d, grid.s, max(pair_count, 1), sigma)
     tcfg = TractableConfig(d=grid.d, n=grid.n, R=R, C=C, xi=xi)
-    # Monte Carlo procedures; the adversarial test is settled analytically
-    procedures = {
-        "exhaustive": exhaustive_procedure(sigma, grid.s, thresholds, support_budget),
-        "tractable_honest": tractable_procedure(tcfg, sigma),
+    # built once per sweep, for the requested tests only
+    factories = {
+        "exhaustive": lambda: exhaustive_procedure(sigma, grid.s, thresholds, support_budget),
+        "tractable_honest": lambda: tractable_procedure(tcfg, sigma),
+        "tractable_adversarial": lambda: _adversarial_procedure(tcfg, sigma),
     }
+    procedures = {name: factories[name]() for name in tests}
 
     rows: list[SweepRow] = []
     for ia, alpha in enumerate(grid.alpha_values):
@@ -263,7 +276,7 @@ def sweep_phase_diagram(
             theta0, theta1, beta = _cell_models(grid, ia, ig, null_mu_scale, sigma)
             for test_index, name in enumerate(tests):
                 if name == "tractable_adversarial":
-                    est = _adversarial_cell_estimate(theta0, theta1, tcfg, grid.trials)
+                    est = procedures[name](theta0, theta1, grid.trials)
                 else:
                     est = estimate_risk(
                         procedures[name],
@@ -370,8 +383,8 @@ def oracle_demo(
     queries = build_queries(cfg, eye)
     for q in queries:
         adv.assess(q)
-    transcript0 = [adv.policy(0).query(q) for q in queries]
-    transcript1 = [adv.policy(1).query(q) for q in queries]
+    transcript0 = adv.policy(0).query_all(queries)
+    transcript1 = adv.policy(1).query_all(queries)
     identical = all(a.value == b.value for a, b in zip(transcript0, transcript1))
     return OracleDemoReport(
         d=d,

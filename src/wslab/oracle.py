@@ -21,14 +21,16 @@ Three response policies are provided:
 
 Closed-form expectations are available for the coordinate query family used
 by the tractable tests; they reduce to first and second moments of truncated
-univariate Gaussian mixtures.
+univariate Gaussian mixtures. ``CoordinateQueryFamily`` is that family as
+one object, which ``EmpiricalOracle.query_all`` answers in a single pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Literal
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -45,6 +47,7 @@ __all__ = [
     "QueryKind",
     "TruncatedQuerySpec",
     "BoundedQuery",
+    "CoordinateQueryFamily",
     "OracleConfig",
     "OracleResponse",
     "GapRecord",
@@ -60,6 +63,9 @@ __all__ = [
 
 QueryKind = Literal["coordinate_mean", "coordinate_second_moment", "signed_label_mean"]
 _KINDS = ("coordinate_mean", "coordinate_second_moment", "signed_label_mean")
+
+# float64 elements in one column block of the family's single pass: 1 MiB
+_BLOCK_ELEMENTS = 1 << 17
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -110,6 +116,102 @@ class BoundedQuery:
     def __post_init__(self) -> None:
         if not self.bound_M > 0:
             raise ValidationError("bound_M must be positive")
+
+
+def _truncated_statistic(
+    kind: QueryKind, labels: np.ndarray, z: np.ndarray, trunc: float
+) -> np.ndarray:
+    """Per-sample values of a coordinate query on standardized covariates ``z``.
+
+    ``z`` is one column of shape ``(n,)`` or a block of shape ``(n, b)``,
+    one column per query; ``labels`` broadcasts against it. The values are
+    ``z 1{|z| <= trunc}``, ``(z^2 - 1) 1{|z| <= trunc}`` or
+    ``(2y - 1) z 1{|z| <= trunc}`` for the three kinds.
+    """
+    inside = np.abs(z) <= trunc
+    if kind == "coordinate_mean":
+        return z * inside
+    if kind == "coordinate_second_moment":
+        return (z * z - 1.0) * inside
+    return (2.0 * labels - 1.0) * z * inside
+
+
+def _coordinate_values(
+    spec: TruncatedQuerySpec, scale: float, labels: np.ndarray, covariates: np.ndarray
+) -> np.ndarray:
+    z = covariates[:, spec.j] / scale
+    if spec.sign < 0:
+        z = -z
+    return _truncated_statistic(spec.kind, labels, z, spec.trunc)
+
+
+class CoordinateQueryFamily(tuple):
+    """The ``4d`` truncated coordinate queries, in the fixed issue order.
+
+    Order: ``d`` standardized coordinate means, ``d`` standardized second
+    moments, then ``2d`` signed-label means (all ``+`` directions, then all
+    ``-``). Coordinate ``j`` is standardized by ``sqrt(diag[j])`` and
+    truncated at ``trunc``; the mean and signed queries are bounded by
+    ``bound_mean``, the second moments by ``bound_var``. Each element is a
+    ``BoundedQuery`` whose ``evaluate`` makes its own pass over one column;
+    ``column_means`` answers the whole family in one pass over column
+    blocks, with the same values bit for bit.
+    """
+
+    def __new__(
+        cls, diag: np.ndarray, trunc: float, bound_mean: float, bound_var: float
+    ) -> "CoordinateQueryFamily":
+        diag = np.asarray(diag, dtype=float)
+        scales = np.sqrt(diag)
+        groups = [
+            ("coord_mean[{}]", "coordinate_mean", 1, bound_mean),
+            ("coord_var[{}]", "coordinate_second_moment", 1, bound_var),
+            ("signed_mean[+{}]", "signed_label_mean", 1, bound_mean),
+            ("signed_mean[-{}]", "signed_label_mean", -1, bound_mean),
+        ]
+        queries = []
+        for id_format, kind, sign, bound in groups:
+            for j in range(diag.shape[0]):
+                spec = TruncatedQuerySpec(kind, j, trunc, float(diag[j]), sign=sign)
+                queries.append(
+                    BoundedQuery(
+                        id=id_format.format(j),
+                        evaluate=partial(_coordinate_values, spec, scales[j]),
+                        bound_M=bound,
+                        analytic=spec,
+                    )
+                )
+        family = super().__new__(cls, queries)
+        family.scales = scales
+        family.trunc = trunc
+        return family
+
+    def column_means(self, labels: np.ndarray, covariates: np.ndarray) -> np.ndarray:
+        """The ``4d`` sample means in issue order, from one pass over column blocks.
+
+        Blocks hold about ``_BLOCK_ELEMENTS`` values, so no ``n x d``
+        temporary is made. Each block is Fortran-ordered: its column sums
+        run along contiguous memory and use the same pairwise summation as
+        a single column's sum.
+        """
+        n, d = covariates.shape
+        if d != self.scales.shape[0]:
+            raise ValidationError(
+                f"covariates have {d} columns, the query family {self.scales.shape[0]}"
+            )
+        sums = np.empty((3, d))
+        y = labels[:, None]
+        width = max(1, _BLOCK_ELEMENTS // max(n, 1))
+        for lo in range(0, d, width):
+            hi = min(lo + width, d)
+            z = np.divide(covariates[:, lo:hi], self.scales[lo:hi], order="F")
+            for row, kind in enumerate(_KINDS):
+                stat = _truncated_statistic(kind, y, z, self.trunc)
+                sums[row, lo:hi] = np.add.reduce(stat, axis=0)
+        # The "-" half is the sum of the negated "+" values: exactly -sum,
+        # except that a zero sum stays +0.0 (numpy sums start from +0.0),
+        # which 0.0 - sum gives and -sum does not.
+        return np.concatenate([sums.ravel(), 0.0 - sums[2]]) / n
 
 
 @dataclass(frozen=True)
@@ -285,6 +387,14 @@ class OraclePolicy:
         self._issued += 1
         return self._respond(q)
 
+    def query_all(self, queries: Sequence[BoundedQuery]) -> list[OracleResponse]:
+        """Issue ``queries`` in order, one budget unit each.
+
+        A budget that runs out partway raises on the first query past it,
+        as issuing them one at a time would.
+        """
+        return [self.query(q) for q in queries]
+
     def _respond(self, q: BoundedQuery) -> OracleResponse:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -297,23 +407,40 @@ class EmpiricalOracle(OraclePolicy):
     empirical mean (clipped to the query's range); conformance against the
     exact tolerance is a statement about the data distribution and is checked
     in tests, not here.
+
+    ``query_all`` answers a ``CoordinateQueryFamily`` in one blocked pass
+    over the covariates; any other query runs its own ``evaluate``. For
+    those per-query calls a column-major copy of the covariates is made
+    once, on the first of them, because coordinate queries slice single
+    columns.
     """
 
     def __init__(self, data: Dataset, cfg: OracleConfig) -> None:
         super().__init__(cfg)
         self.data = data
-        # column-major copy: coordinate queries slice single columns, which
-        # would otherwise stride across the whole row-major matrix
-        self._covariates = np.asfortranarray(data.covariates)
         self._labels = data.labels
+        self._columns: np.ndarray | None = None
+
+    def query_all(self, queries: Sequence[BoundedQuery]) -> list[OracleResponse]:
+        remaining = self.cfg.budget_T - self._issued
+        if not isinstance(queries, CoordinateQueryFamily) or len(queries) > remaining:
+            return super().query_all(queries)
+        self._issued += len(queries)
+        values = queries.column_means(self._labels, self.data.covariates)
+        return [self._response(q, v) for q, v in zip(queries, values.tolist())]
 
     def _respond(self, q: BoundedQuery) -> OracleResponse:
-        values = np.asarray(q.evaluate(self._labels, self._covariates), dtype=float)
+        if self._columns is None:
+            self._columns = np.asfortranarray(self.data.covariates)
+        values = np.asarray(q.evaluate(self._labels, self._columns), dtype=float)
         if values.shape != (self.data.n,):
             raise ValidationError(
                 f"query {q.id!r} returned shape {values.shape}, expected ({self.data.n},)"
             )
-        value = float(values.mean())
+        # values.mean() divides this same sum by n, with more per-call overhead
+        return self._response(q, float(np.add.reduce(values) / self.data.n))
+
+    def _response(self, q: BoundedQuery, value: float) -> OracleResponse:
         plug_in = min(max(value, -q.bound_M), q.bound_M)
         return OracleResponse(value=value, tolerance_used=tolerance(q, plug_in, self.cfg), query_id=q.id)
 

@@ -24,11 +24,10 @@ import numpy as np
 from .errors import NonPositiveDiagonalError, ValidationError
 from .exhaustive import TestResult
 from .oracle import (
-    BoundedQuery,
+    CoordinateQueryFamily,
     OracleConfig,
     OraclePolicy,
     OracleResponse,
-    TruncatedQuerySpec,
 )
 
 __all__ = [
@@ -90,7 +89,7 @@ class TractableConfig:
         )
 
 
-def build_queries(cfg: TractableConfig, sigma: np.ndarray) -> list[BoundedQuery]:
+def build_queries(cfg: TractableConfig, sigma: np.ndarray) -> CoordinateQueryFamily:
     """The ``4d`` bounded queries, in the fixed issue order.
 
     Order: ``d`` standardized coordinate means, ``d`` standardized second
@@ -107,61 +106,7 @@ def build_queries(cfg: TractableConfig, sigma: np.ndarray) -> list[BoundedQuery]
     if sigma.shape != (d, d):
         raise ValidationError(f"covariance shape {sigma.shape} does not match d={d}")
     t = cfg.trunc_level
-    m_mean = t
-    m_var = cfg.R**2 * math.log(d)
-
-    def coord_mean(j: int, scale: float):
-        def evaluate(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-            z = x[:, j] / scale
-            return z * (np.abs(z) <= t)
-
-        return evaluate
-
-    def coord_second(j: int, scale: float):
-        def evaluate(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-            z = x[:, j] / scale
-            return (z * z - 1.0) * (np.abs(z) <= t)
-
-        return evaluate
-
-    def signed_mean(j: int, scale: float, sign: int):
-        def evaluate(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-            z = sign * x[:, j] / scale
-            return (2.0 * y - 1.0) * z * (np.abs(z) <= t)
-
-        return evaluate
-
-    queries: list[BoundedQuery] = []
-    scales = np.sqrt(diag)
-    for j in range(d):
-        queries.append(
-            BoundedQuery(
-                id=f"coord_mean[{j}]",
-                evaluate=coord_mean(j, scales[j]),
-                bound_M=m_mean,
-                analytic=TruncatedQuerySpec("coordinate_mean", j, t, float(diag[j])),
-            )
-        )
-    for j in range(d):
-        queries.append(
-            BoundedQuery(
-                id=f"coord_var[{j}]",
-                evaluate=coord_second(j, scales[j]),
-                bound_M=m_var,
-                analytic=TruncatedQuerySpec("coordinate_second_moment", j, t, float(diag[j])),
-            )
-        )
-    for sign, tag in ((1, "+"), (-1, "-")):
-        for j in range(d):
-            queries.append(
-                BoundedQuery(
-                    id=f"signed_mean[{tag}{j}]",
-                    evaluate=signed_mean(j, scales[j], sign),
-                    bound_M=m_mean,
-                    analytic=TruncatedQuerySpec("signed_label_mean", j, t, float(diag[j]), sign=sign),
-                )
-            )
-    return queries
+    return CoordinateQueryFamily(diag, t, bound_mean=t, bound_var=cfg.R**2 * math.log(d))
 
 
 def default_oracle_config(cfg: TractableConfig, budget_T: int | None = None) -> OracleConfig:
@@ -242,11 +187,9 @@ def decisions_from_responses(
 def run_tractable_test(
     oracle: OraclePolicy, cfg: TractableConfig, sigma: np.ndarray
 ) -> TractableResult:
-    """Issue the ``4d`` queries in fixed order and combine both decisions.
+    """Issue the ``4d`` queries as one family and combine both decisions.
 
     Budget errors from the oracle propagate; the oracle must allow at least
     ``4d`` further queries.
     """
-    queries = build_queries(cfg, sigma)
-    responses = [oracle.query(q) for q in queries]
-    return decisions_from_responses(responses, cfg)
+    return decisions_from_responses(oracle.query_all(build_queries(cfg, sigma)), cfg)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -85,6 +86,35 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
     assert cli.main(["sweep", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
     assert cli.main(["sweep", "--config", cfg, "--out", str(out2), "--threads", "7"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# sha256 of the CSV below as written at the commit before the honest query
+# family was answered in one blocked pass; any change to a response's
+# summation order or to a seed stream that flips a decision changes it
+_GOLDEN_SWEEP_SHA256 = "cf4e78a1f4b3fe28406efe464190b97abcb8dbed566c905f049dbe5f63d9db5f"
+
+
+def test_sweep_csv_matches_golden(tmp_path):
+    # AR(1) covariance and R=1 put several honest-query decisions near their
+    # thresholds: type-II rates 1, 1/3, 2/3 and 0 across the grid
+    sigma = [[0.5 ** abs(i - j) for j in range(10)] for i in range(10)]
+    cfg = _sweep_config(
+        tmp_path, d=10, s=2, n=2000, alpha=[0.5, 1.0], gamma=[1.0, 8.0], R=1.0, sigma=sigma,
+        trials=3, seed=7,
+    )
+    out = tmp_path / "golden.csv"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_SWEEP_SHA256
+
+
+@pytest.mark.parametrize(
+    "argv", [["rates", "--svg", "x.svg", "--threads", "0"], ["verify", "--threads", "-3"]]
+)
+def test_option_of_another_subcommand_is_rejected(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
 
 
 def test_sweep_test_filter(tmp_path):

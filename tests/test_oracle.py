@@ -306,3 +306,77 @@ def test_adversarial_records_follow_the_query_spec_not_its_id():
     for q in (query(3.0, 3.0), query(1.0, 2.0)):
         assert adv.assess(q) == oracle.AdversarialPairOracle(theta0, theta1, cfg).assess(q)
     assert len(adv.report) == 3
+
+
+def _closure_values(q: oracle.BoundedQuery, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # the per-query formulas written out, independent of the package's own
+    spec = q.analytic
+    z = spec.sign * x[:, spec.j] / math.sqrt(spec.sigma_jj)
+    inside = np.abs(z) <= spec.trunc
+    if spec.kind == "coordinate_mean":
+        return z * inside
+    if spec.kind == "coordinate_second_moment":
+        return (z * z - 1.0) * inside
+    return (2.0 * y - 1.0) * z * inside
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "d, n, spread",
+    [
+        (50, 3001, 3.0),  # odd n; 43-column blocks leave a 7-column tail
+        (3, 70_001, 3.0),  # a block holds a single column
+        (7, 2000, 1.0),  # one block
+    ],
+)
+def test_blocked_family_equals_per_query_path_bitwise(d, n, spread):
+    rng = stream(61, d)
+    diag = np.resize([0.25, 1.0, 4.0, 2.5], d)  # non-unit variances
+    cfg = TractableConfig(d=d, n=n)
+    queries = build_queries(cfg, np.diag(diag))
+    x = rng.standard_normal((n, d)) * np.sqrt(diag) * spread  # spread > 1: many |z| beyond truncation
+    x[:, -1] = 2.0 * cfg.trunc_level * math.sqrt(diag[-1])  # a column wholly beyond truncation
+    data = model.Dataset(labels=rng.integers(0, 2, n), covariates=x)
+
+    blocked = oracle.EmpiricalOracle(data, default_oracle_config(cfg)).query_all(queries)
+    single = oracle.EmpiricalOracle(data, default_oracle_config(cfg))
+    per_query = [single.query(q) for q in queries]
+    reference = [float(_closure_values(q, data.labels, x).mean()) for q in queries]
+
+    assert [r.query_id for r in blocked] == [q.id for q in queries]
+    assert np.array_equal(_bits([r.value for r in blocked]), _bits(reference))
+    assert np.array_equal(_bits([r.value for r in per_query]), _bits(reference))
+    assert [r.tolerance_used for r in blocked] == [r.tolerance_used for r in per_query]
+
+
+def test_family_budget_is_counted_per_query():
+    d = 5
+    cfg = TractableConfig(d=d, n=200)
+    queries = build_queries(cfg, np.eye(d))
+    data = _null_dataset(200, d, 62)
+    full = oracle.EmpiricalOracle(data, default_oracle_config(cfg))
+    full.query_all(queries)
+    assert full.queries_issued == 4 * d
+
+    short = oracle.EmpiricalOracle(data, default_oracle_config(cfg, budget_T=4 * d - 1))
+    with pytest.raises(errors.BudgetExceededError, match=r"signed_mean\[-4\]"):
+        short.query_all(queries)
+    assert short.queries_issued == 4 * d - 1
+
+    spent = oracle.EmpiricalOracle(data, default_oracle_config(cfg))
+    spent.query(queries[0])
+    with pytest.raises(errors.BudgetExceededError, match=r"signed_mean\[-4\]"):
+        spent.query_all(queries)
+    assert spent.queries_issued == 4 * d
+
+
+def test_hand_built_query_is_answered_by_its_own_evaluate():
+    # the analytic spec describes a coordinate mean; evaluate is a constant
+    data = _null_dataset(100, 2, 63)
+    spec = oracle.TruncatedQuerySpec("coordinate_mean", 0, 2.0, 1.0)
+    q = oracle.BoundedQuery(id="m0", evaluate=lambda y, x: np.full(len(y), 0.25), bound_M=2.0, analytic=spec)
+    (response,) = oracle.EmpiricalOracle(data, _ocfg(100)).query_all([q])
+    assert response.value == 0.25
