@@ -234,12 +234,13 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
+        if name in ("sweep", "risk", "verify"):
+            p.add_argument("--seed", type=int, default=None)
         if name == "sweep":
             p.add_argument("--svg", type=str, default=None)
         if name in ("sweep", "risk"):
+            p.add_argument("--trials", type=int, default=None)
             p.add_argument("--threads", type=int, default=None,
                            help="accepted for compatibility; sweeps run serially")
             p.add_argument("--tests", type=str, default=None,

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CombinatorialBudgetError, NonPositiveDiagonalError, ValidationError
 from .model import Dataset
@@ -35,6 +34,10 @@ __all__ = [
 ]
 
 DEFAULT_SUPPORT_BUDGET = 1_000_000
+
+# float64 values per (k, s, s) operand of one batch of the s >= 3 search
+# (1 MiB), so memory stays bounded whatever C(d, s) is
+_BATCH_VALUES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -114,8 +117,18 @@ def sparse_variance_statistic(
     pencil ``(G_S, B_S)`` with ``G`` the empirical second-moment matrix of
     ``S^{-1/2} w`` and ``B = 2 S^{-1}``: the quotient is scale-invariant in
     ``v``, so its restriction to a support is a Rayleigh quotient. Under the
-    null the quotient has mean one in every direction. Enumeration is
-    lexicographic with first-found tie-breaking, so results are deterministic.
+    null the quotient has mean one in every direction.
+
+    ``s = 1`` and ``s = 2`` have closed forms. For ``s >= 3`` the supports
+    are taken in lexicographic order in batches of fixed size (about 1 MiB of
+    float64 per ``(k, s, s)`` stack); each pencil of a batch is reduced
+    through ``L = cholesky(B_S)`` to the symmetric ``L^{-1} G_S L^{-T}``,
+    whose largest eigenvalue is the pencil's. Ties go to the first support
+    in lexicographic order (first maximum within a batch, a strict ``>``
+    across batches), so results are deterministic.
+
+    Raises :class:`ValidationError` when ``G`` is not finite (a NaN or an
+    infinity in ``w``).
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] < 1:
@@ -134,6 +147,8 @@ def sparse_variance_statistic(
         y = w @ root
         g = (y.T @ y) / w.shape[0]
         b = 2.0 * (root @ root)  # 2 sigma^{-1}
+    if not np.isfinite(g).all():
+        raise ValidationError("difference samples must be finite")
 
     if s == 1:
         ratios = np.diag(g) / np.diag(b)
@@ -154,12 +169,18 @@ def sparse_variance_statistic(
 
     best = -math.inf
     best_support: tuple[int, ...] = ()
-    for support in combinations(range(d), s):
-        idx = list(support)
-        lam = scipy.linalg.eigh(g[np.ix_(idx, idx)], b[np.ix_(idx, idx)], eigvals_only=True)[-1]
-        if lam > best:
-            best = float(lam)
-            best_support = support
+    supports = combinations(range(d), s)
+    batch = max(1, _BATCH_VALUES // (s * s))
+    while (idx := np.fromiter(islice(supports, batch), dtype=(np.intp, s))).size:
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        chol = np.linalg.cholesky(b[rows, cols])
+        half = np.linalg.solve(chol, g[rows, cols])  # L^{-1} G_S
+        reduced = np.linalg.solve(chol, half.swapaxes(1, 2))  # L^{-1} G_S L^{-T}
+        lam = np.linalg.eigvalsh(reduced)[:, -1]
+        j = int(np.argmax(lam))
+        if lam[j] > best:
+            best = float(lam[j])
+            best_support = tuple(idx[j].tolist())
     return best, best_support
 
 

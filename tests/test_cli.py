@@ -108,7 +108,14 @@ def test_sweep_csv_matches_golden(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv", [["rates", "--svg", "x.svg", "--threads", "0"], ["verify", "--threads", "-3"]]
+    "argv",
+    [
+        ["rates", "--svg", "x.svg", "--threads", "0"],
+        ["verify", "--threads", "-3"],
+        ["rates", "--trials", "7"],
+        ["rates", "--seed", "3"],
+        ["oracle-demo", "--seed", "3"],
+    ],
 )
 def test_option_of_another_subcommand_is_rejected(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def test_quotient_scale_invariance():
     )
 
 
-@pytest.mark.parametrize("d,s,seed", [(4, 1, 0), (5, 2, 1), (6, 2, 2)])
+@pytest.mark.parametrize("d,s,seed", [(4, 1, 0), (5, 2, 1), (6, 2, 2), (6, 3, 3), (7, 4, 4)])
 def test_statistic_matches_bruteforce_supremum(d, s, seed):
     rng = stream(23, seed)
     sigma = spd_matrix(rng, d)
@@ -112,6 +113,17 @@ def test_statistic_monotone_in_sparsity():
     assert vals[0] <= vals[1] + 1e-12 <= vals[2] + 2e-12
 
 
+def _eigh_loop(g, b, s):
+    # reference: one generalized eigenproblem per support, first maximum wins
+    best, best_support = -np.inf, None
+    for supp in combinations(range(g.shape[0]), s):
+        idx = list(supp)
+        lam = scipy.linalg.eigh(g[np.ix_(idx, idx)], b[np.ix_(idx, idx)], eigvals_only=True)[-1]
+        if lam > best:
+            best, best_support = lam, supp
+    return best, best_support
+
+
 def test_generic_path_agrees_with_pair_path():
     rng = stream(25)
     sigma = spd_matrix(rng, 6)
@@ -122,16 +134,53 @@ def test_generic_path_agrees_with_pair_path():
     y = w @ root
     g = y.T @ y / w.shape[0]
     b = 2.0 * np.linalg.inv(sigma)
-    best, best_support = -np.inf, None
-    from itertools import combinations
-
-    for supp in combinations(range(6), 2):
-        idx = list(supp)
-        lam = scipy.linalg.eigh(g[np.ix_(idx, idx)], b[np.ix_(idx, idx)], eigvals_only=True)[-1]
-        if lam > best:
-            best, best_support = lam, supp
+    best, best_support = _eigh_loop(g, b, 2)
     assert fast == pytest.approx(best, rel=1e-10)
     assert support_fast == best_support
+
+
+def test_batched_search_matches_per_support_eigh_loop():
+    # d=50, s=3: C(50, 3) = 19,600 supports, more than one batch
+    d, s = 50, 3
+    rng = stream(27)
+    sigma = spd_matrix(rng, d)
+    root = pairing_inverse_sqrt(sigma)
+    # plant a shared factor on coordinates past the first batch, in the
+    # coordinates the statistic whitens to (w @ root)
+    y = rng.standard_normal((400, d)) * math.sqrt(2)
+    y[:, [30, 41, 47]] += 1.2 * rng.standard_normal((400, 1))
+    w = y @ np.linalg.inv(root)
+    stat, support = exhaustive.sparse_variance_statistic(w, sigma, s)
+
+    g = (w @ root).T @ (w @ root) / w.shape[0]
+    b = 2.0 * (root @ root)
+    best, best_support = _eigh_loop(g, b, s)
+    # the maximiser sits in the last batch, so a dropped tail batch shows
+    first_batch = exhaustive._BATCH_VALUES // (s * s)
+    assert list(combinations(range(d), s)).index(best_support) >= first_batch
+    assert support == best_support
+    assert stat == pytest.approx(best, rel=1e-12)
+
+
+def test_ties_go_to_the_lexicographically_first_support():
+    # four copies of one strong column; every support holding three of them
+    # ties exactly (integer entries and n = 256 make G exact), and (18, 30, 40)
+    # lies in a later batch than (0, 18, 30)
+    rng = stream(28)
+    w = rng.choice([-1.0, 1.0], size=(256, 50))
+    w[:, [0, 18, 30, 40]] = 2.0 * rng.choice([-1.0, 1.0], size=(256, 1))
+    stat, support = exhaustive.sparse_variance_statistic(w, np.eye(50), 3)
+    assert stat == pytest.approx(6.0, rel=1e-12)  # 3 * 4 / 2
+    assert support == (0, 18, 30)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_samples_raise_validation_error(s, bad):
+    w = stream(29).standard_normal((20, 5))
+    w[7, 2] = bad
+    with pytest.raises(errors.ValidationError, match="finite"):
+        exhaustive.sparse_variance_statistic(w, np.eye(5), s)
 
 
 def test_null_statistic_concentrates_near_one():

@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +21,14 @@ def test_module_exports_resolve(name):
 
 def test_package_imports():
     assert importlib.import_module("wslab").__version__
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy's import alone costs about twice the rest of the CLI's start-up
+    src = str(Path(wslab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, wslab.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert result.stdout.strip() == "False"
