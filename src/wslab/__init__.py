@@ -46,6 +46,7 @@ from .experiments import (
 from .model import (
     AltSpec,
     Dataset,
+    KnownCovariance,
     ModelParams,
     make_restricted_alternative,
     sample_dataset,
@@ -66,7 +67,6 @@ from .oracle import (
 )
 from .pairing import (
     between_class_differences,
-    sym_inverse_sqrt,
     whitened_pair_differences,
 )
 from .theory import (

@@ -107,11 +107,14 @@ def _gamma_grid(cfg: dict) -> list[float]:
 # them out of the header keeps equal runs byte-identical
 _NON_SEMANTIC_KEYS = {"out", "svg", "threads"}
 
+# the settings each of these commands reads; sweep and risk echo every semantic key
+_HEADER_KEYS = {"rates": ("alpha", "d", "n", "s"), "verify": ("seed", "suites"),
+                "oracle-demo": ("C", "R", "alpha", "beta", "d", "n", "s", "xi")}
+
 
 def _header(command: str, cfg: dict) -> list[str]:
-    relevant = {
-        k: v for k, v in cfg.items() if v is not None and k not in _NON_SEMANTIC_KEYS
-    }
+    keys = _HEADER_KEYS.get(command, cfg.keys())
+    relevant = {k: cfg[k] for k in keys if cfg[k] is not None and k not in _NON_SEMANTIC_KEYS}
     return [f"command: {command}", f"config: {json.dumps(relevant, sort_keys=True)}"]
 
 

@@ -19,9 +19,9 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import CombinatorialBudgetError, NonPositiveDiagonalError, ValidationError
-from .model import Dataset
-from .pairing import between_class_differences, sym_inverse_sqrt, whitened_pair_differences
+from .errors import CombinatorialBudgetError, ValidationError
+from .model import Dataset, KnownCovariance
+from .pairing import between_class_differences, whitened_pair_differences
 
 __all__ = [
     "TestResult",
@@ -78,15 +78,14 @@ class Thresholds:
             raise ValidationError("thresholds must be positive")
 
 
-def default_thresholds(d: int, s: int, n: int, sigma: np.ndarray) -> Thresholds:
+def default_thresholds(d: int, s: int, n: int, sigma: np.ndarray | KnownCovariance) -> Thresholds:
     if d < 2:
         raise ValidationError(f"need d >= 2 for a meaningful coordinate scan, got {d}")
     if not (1 <= s <= d):
         raise ValidationError(f"need 1 <= s <= d, got s={s}, d={d}")
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    eigvals = np.linalg.eigvalsh(np.asarray(sigma, dtype=float))
-    kappa = float(eigvals[-1] / eigvals[0])
+    kappa = KnownCovariance.of(sigma, d).kappa
     tau1 = kappa * math.sqrt(s * math.log(math.e * d / s) / n)
     tau2 = math.sqrt(8.0 * math.log(d) / n)
     return Thresholds(tau1=tau1, tau2=tau2, kappa=kappa)
@@ -103,7 +102,7 @@ def _check_support_budget(d: int, s: int, budget: int) -> None:
 
 def sparse_variance_statistic(
     w: np.ndarray,
-    sigma: np.ndarray,
+    sigma: np.ndarray | KnownCovariance,
     s: int,
     support_budget: int = DEFAULT_SUPPORT_BUDGET,
 ) -> tuple[float, tuple[int, ...]]:
@@ -138,15 +137,10 @@ def sparse_variance_statistic(
         raise ValidationError(f"need 1 <= s <= d, got s={s}, d={d}")
     _check_support_budget(d, s, support_budget)
 
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape == (d, d) and bool((sigma == np.eye(d)).all()):
-        g = (w.T @ w) / w.shape[0]
-        b = 2.0 * np.eye(d)
-    else:
-        root = sym_inverse_sqrt(sigma)
-        y = w @ root
-        g = (y.T @ y) / w.shape[0]
-        b = 2.0 * (root @ root)  # 2 sigma^{-1}
+    cov = KnownCovariance.of(sigma, d)
+    y = w if cov.is_identity else w @ cov.inv_sqrt
+    g = (y.T @ y) / w.shape[0]
+    b = cov.twice_precision
     if not np.isfinite(g).all():
         raise ValidationError("difference samples must be finite")
 
@@ -184,7 +178,7 @@ def sparse_variance_statistic(
     return best, best_support
 
 
-def peak_coordinate_statistic(u: np.ndarray, sigma: np.ndarray) -> tuple[float, int, int]:
+def peak_coordinate_statistic(u: np.ndarray, sigma: np.ndarray | KnownCovariance) -> tuple[float, int, int]:
     """Largest standardized coordinate of the mean class difference.
 
     Returns ``(value, coordinate, sign)`` where ``value = max_j |mean(u)_j| /
@@ -194,9 +188,7 @@ def peak_coordinate_statistic(u: np.ndarray, sigma: np.ndarray) -> tuple[float, 
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[0] < 1:
         raise ValidationError("u must be a non-empty 2-d array of class differences")
-    diag = np.diag(np.asarray(sigma, dtype=float))
-    if np.any(diag <= 0):
-        raise NonPositiveDiagonalError("covariance diagonal must be strictly positive")
+    diag = KnownCovariance.of(sigma, u.shape[1]).diag
     ubar = u.mean(axis=0)
     standardized = np.abs(ubar) / np.sqrt(diag)
     j = int(np.argmax(standardized))
@@ -218,7 +210,7 @@ class ExhaustiveResult:
 
 def run_exhaustive_test(
     data: Dataset,
-    sigma: np.ndarray,
+    sigma: np.ndarray | KnownCovariance,
     s: int,
     thresholds: Thresholds | None = None,
     support_budget: int = DEFAULT_SUPPORT_BUDGET,
@@ -229,12 +221,13 @@ def run_exhaustive_test(
     realized pair count ``n // 2``; pass them explicitly to pin another
     convention.
     """
-    w = whitened_pair_differences(data, sigma)
+    cov = KnownCovariance.of(sigma, data.d)
+    w = whitened_pair_differences(data, cov)
     u = between_class_differences(data)
     if thresholds is None:
-        thresholds = default_thresholds(data.d, s, w.shape[0], sigma)
-    stat1, support = sparse_variance_statistic(w, sigma, s, support_budget=support_budget)
-    stat2, coord, sign = peak_coordinate_statistic(u, sigma)
+        thresholds = default_thresholds(data.d, s, w.shape[0], cov)
+    stat1, support = sparse_variance_statistic(w, cov, s, support_budget=support_budget)
+    stat2, coord, sign = peak_coordinate_statistic(u, cov)
     return ExhaustiveResult(
         variance_search=TestResult.decide(stat1, 1.0 + thresholds.tau1, detail={"support": support}),
         peak_coordinate=TestResult.decide(

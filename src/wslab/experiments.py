@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .exhaustive import Thresholds, default_thresholds, run_exhaustive_test
-from .model import AltSpec, Dataset, ModelParams, make_restricted_alternative, sample_dataset
+from .model import AltSpec, Dataset, KnownCovariance, ModelParams
+from .model import make_restricted_alternative, sample_dataset
 from .oracle import AdversarialPairOracle, EmpiricalOracle, GapRecord
 from .seeding import spawn_rng
 from .tractable import (
@@ -109,20 +110,21 @@ def estimate_risk(
 
 
 def exhaustive_procedure(
-    sigma: np.ndarray,
+    sigma: np.ndarray | KnownCovariance,
     s: int,
     thresholds: Thresholds,
     support_budget: int = 1_000_000,
 ) -> TestProcedure:
     """Dataset-to-decision wrapper around the exhaustive test."""
+    cov = KnownCovariance.of(sigma)
 
     def test(data: Dataset) -> bool:
-        return run_exhaustive_test(data, sigma, s, thresholds, support_budget=support_budget).reject
+        return run_exhaustive_test(data, cov, s, thresholds, support_budget=support_budget).reject
 
     return test
 
 
-def tractable_procedure(cfg: TractableConfig, sigma: np.ndarray) -> TestProcedure:
+def tractable_procedure(cfg: TractableConfig, sigma: np.ndarray | KnownCovariance) -> TestProcedure:
     """Dataset-to-decision wrapper: honest empirical oracle over the dataset.
 
     The query family and the oracle configuration are built once, here.
@@ -189,35 +191,35 @@ _TRIALS_KEY = 202
 
 
 def _cell_models(
-    grid: SweepGrid, ia: int, ig: int, null_mu_scale: float, sigma: np.ndarray
+    grid: SweepGrid, ia: int, ig: int, null_mu_scale: float, cov: KnownCovariance
 ) -> tuple[ModelParams, ModelParams, float]:
     alpha = grid.alpha_values[ia]
     gamma = grid.gamma_values[ig]
     mu = np.full(grid.d, null_mu_scale)
-    theta0 = ModelParams(mu0=mu, mu1=mu, sigma=sigma, alpha=alpha)
+    theta0 = ModelParams(mu0=mu, mu1=mu, sigma=cov, alpha=alpha)
     if gamma == 0.0:
-        return theta0, ModelParams(mu0=mu, mu1=mu, sigma=sigma, alpha=alpha), 0.0
+        return theta0, ModelParams(mu0=mu, mu1=mu, sigma=cov, alpha=alpha), 0.0
     rng = spawn_rng(grid.seed, _SUPPORT_KEY, ia, ig)
     support = sorted(int(j) for j in rng.choice(grid.d, size=grid.s, replace=False))
     indicator = np.zeros(grid.d)
     indicator[support] = 1.0
     # per-coordinate signal chosen so the separation hits gamma exactly;
     # for identity covariance this is sqrt(gamma / s)
-    beta = math.sqrt(gamma / float(indicator @ np.linalg.solve(sigma, indicator)))
+    beta = math.sqrt(gamma / float(indicator @ np.linalg.solve(cov.sigma, indicator)))
     v = beta * indicator
-    theta1 = ModelParams(mu0=-v / 2.0, mu1=v / 2.0, sigma=sigma, alpha=alpha)
+    theta1 = ModelParams(mu0=-v / 2.0, mu1=v / 2.0, sigma=cov, alpha=alpha)
     return theta0, theta1, beta
 
 
 def _adversarial_procedure(
-    cfg: TractableConfig, sigma: np.ndarray
+    cfg: TractableConfig, cov: KnownCovariance
 ) -> Callable[[ModelParams, ModelParams, int], RiskEstimate]:
     """Cell-to-risk wrapper around the adversarial pair oracle.
 
     The pair oracle responds deterministically from analytic expectations,
     so one evaluation per arm settles every trial.
     """
-    queries = build_queries(cfg, sigma)
+    queries = build_queries(cfg, cov)
     ocfg = default_oracle_config(cfg)
 
     def estimate(theta0: ModelParams, theta1: ModelParams, trials: int) -> RiskEstimate:
@@ -238,7 +240,7 @@ def sweep_phase_diagram(
     tests: Sequence[str] = SWEEP_TESTS,
     threads: int = 1,
     null_mu_scale: float = 0.0,
-    sigma: np.ndarray | None = None,
+    sigma: np.ndarray | KnownCovariance | None = None,
     R: float = 4.0,
     C: float = 8.0,
     xi: float | None = None,
@@ -249,31 +251,32 @@ def sweep_phase_diagram(
     ``null_mu_scale`` sets the shared null mean to that multiple of the
     all-ones vector (zero by default; a positive value stresses truncation
     bias in the query family). ``sigma`` is the known covariance (identity
-    by default); its condition number enters the exhaustive thresholds.
-    Rows come back in (alpha, gamma, test) order. The sweep runs serially;
-    ``threads`` is validated but has no effect.
+    by default), validated and factored once for the whole sweep; its
+    condition number enters the exhaustive thresholds. Rows come back in
+    (alpha, gamma, test) order. The sweep runs serially; ``threads`` is
+    validated but has no effect.
     """
     for name in tests:
         if name not in SWEEP_TESTS:
             raise ValidationError(f"unknown test {name!r}; choose from {SWEEP_TESTS}")
     if threads < 1:
         raise ValidationError(f"threads must be positive, got {threads}")
-    sigma = np.eye(grid.d) if sigma is None else np.asarray(sigma, dtype=float)
+    cov = KnownCovariance.of(np.eye(grid.d) if sigma is None else sigma, grid.d)
     pair_count = grid.n // 2
-    thresholds = default_thresholds(grid.d, grid.s, max(pair_count, 1), sigma)
+    thresholds = default_thresholds(grid.d, grid.s, max(pair_count, 1), cov)
     tcfg = TractableConfig(d=grid.d, n=grid.n, R=R, C=C, xi=xi)
     # built once per sweep, for the requested tests only
     factories = {
-        "exhaustive": lambda: exhaustive_procedure(sigma, grid.s, thresholds, support_budget),
-        "tractable_honest": lambda: tractable_procedure(tcfg, sigma),
-        "tractable_adversarial": lambda: _adversarial_procedure(tcfg, sigma),
+        "exhaustive": lambda: exhaustive_procedure(cov, grid.s, thresholds, support_budget),
+        "tractable_honest": lambda: tractable_procedure(tcfg, cov),
+        "tractable_adversarial": lambda: _adversarial_procedure(tcfg, cov),
     }
     procedures = {name: factories[name]() for name in tests}
 
     rows: list[SweepRow] = []
     for ia, alpha in enumerate(grid.alpha_values):
         for ig, gamma in enumerate(grid.gamma_values):
-            theta0, theta1, beta = _cell_models(grid, ia, ig, null_mu_scale, sigma)
+            theta0, theta1, beta = _cell_models(grid, ia, ig, null_mu_scale, cov)
             for test_index, name in enumerate(tests):
                 if name == "tractable_adversarial":
                     est = procedures[name](theta0, theta1, grid.trials)
@@ -369,15 +372,12 @@ def oracle_demo(
     deterministic test over them has summed error exactly one on this pair.
     """
     cfg = TractableConfig(d=d, n=n, R=R, C=C, xi=xi)
-    eye = np.eye(d)
+    eye = KnownCovariance(np.eye(d))
     zero = np.zeros(d)
     theta0 = ModelParams(mu0=zero, mu1=zero, sigma=eye, alpha=alpha)
-    if beta == 0.0:
-        theta1 = ModelParams(mu0=zero, mu1=zero, sigma=eye, alpha=alpha)
-    else:
-        theta1 = make_restricted_alternative(
-            AltSpec(support=tuple(range(s)), beta=beta, d=d), alpha
-        )
+    theta1 = theta0 if beta == 0.0 else make_restricted_alternative(
+        AltSpec(support=tuple(range(s)), beta=beta, d=d), alpha
+    )
     ocfg = default_oracle_config(cfg)
     adv = AdversarialPairOracle(theta0, theta1, ocfg)
     queries = build_queries(cfg, eye)

@@ -17,11 +17,13 @@ from .errors import (
     AlphaRangeError,
     DimMismatchError,
     EmptySupportError,
+    NonPositiveDiagonalError,
     NonSPDError,
     ValidationError,
 )
 
 __all__ = [
+    "KnownCovariance",
     "ModelParams",
     "AltSpec",
     "Dataset",
@@ -46,49 +48,92 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_sigma(sigma: np.ndarray) -> None:
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise DimMismatchError(f"covariance must be square, got shape {sigma.shape}")
-    if not np.all(np.isfinite(sigma)):
-        raise NonSPDError("covariance contains non-finite entries")
-    if np.abs(sigma - sigma.T).max(initial=0.0) > _SYMMETRY_ATOL * max(1.0, np.abs(sigma).max(initial=0.0)):
-        raise NonSPDError("covariance is not symmetric")
-    eigvals = np.linalg.eigvalsh(sigma)
-    if eigvals[0] <= 0.0:
-        raise NonSPDError(f"covariance is not positive-definite (min eigenvalue {eigvals[0]:.3e})")
-    if eigvals[-1] / eigvals[0] > MAX_CONDITION_NUMBER:
-        raise NonSPDError(
-            f"covariance condition number {eigvals[-1] / eigvals[0]:.3e} exceeds "
-            f"{MAX_CONDITION_NUMBER:.0e}; refusing to proceed with a numerically degenerate model"
-        )
+@dataclass(frozen=True)
+class KnownCovariance:
+    """The model's known covariance Sigma, validated and factored once.
+
+    Checks, in order: square (:class:`DimMismatchError`), finite, a strictly
+    positive diagonal (:class:`NonPositiveDiagonalError`), symmetric to
+    ``1e-12`` relative, positive-definite, condition number at most
+    ``MAX_CONDITION_NUMBER`` (otherwise :class:`NonSPDError`). Caches, all
+    read-only: a copy of ``sigma``, ``diag``, ``kappa``, the symmetric
+    ``inv_sqrt`` (``inv_sqrt @ sigma @ inv_sqrt = I``), ``twice_precision =
+    2 sigma^{-1}``, the lower Cholesky factor ``chol`` and ``is_identity``.
+    """
+
+    sigma: np.ndarray
+    diag: np.ndarray = field(init=False, repr=False, compare=False)
+    kappa: float = field(init=False, repr=False, compare=False)
+    inv_sqrt: np.ndarray = field(init=False, repr=False, compare=False)
+    twice_precision: np.ndarray = field(init=False, repr=False, compare=False)
+    chol: np.ndarray = field(init=False, repr=False, compare=False)
+    is_identity: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        sigma = _as_readonly(self.sigma)
+        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+            raise DimMismatchError(f"covariance must be square, got shape {sigma.shape}")
+        if not np.all(np.isfinite(sigma)):
+            raise NonSPDError("covariance contains non-finite entries")
+        diag = _as_readonly(np.diag(sigma))
+        if np.any(diag <= 0):
+            raise NonPositiveDiagonalError("covariance diagonal must be strictly positive")
+        if np.abs(sigma - sigma.T).max(initial=0.0) > _SYMMETRY_ATOL * max(1.0, np.abs(sigma).max(initial=0.0)):
+            raise NonSPDError("covariance is not symmetric")
+        eigvals = np.linalg.eigvalsh(sigma)
+        if eigvals[0] <= 0.0:
+            raise NonSPDError(f"covariance is not positive-definite (min eigenvalue {eigvals[0]:.3e})")
+        kappa = float(eigvals[-1] / eigvals[0])
+        if kappa > MAX_CONDITION_NUMBER:
+            raise NonSPDError(f"covariance condition number {kappa:.3e} exceeds {MAX_CONDITION_NUMBER:.0e}")
+        is_identity = bool((sigma == np.eye(len(sigma))).all())
+        if is_identity:
+            root = np.eye(len(sigma))
+        else:
+            vals, vecs = np.linalg.eigh(sigma)
+            root = (vecs / np.sqrt(vals)) @ vecs.T
+        for name, value in dict(
+            sigma=sigma, diag=diag, kappa=kappa, is_identity=is_identity,
+            inv_sqrt=_as_readonly(root), twice_precision=_as_readonly(2.0 * (root @ root)),
+            chol=_as_readonly(np.linalg.cholesky(sigma)),
+        ).items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def of(cls, sigma: "np.ndarray | KnownCovariance", d: int | None = None) -> "KnownCovariance":
+        """``sigma`` itself if a ``KnownCovariance``, else one built from it; checks ``d`` if given."""
+        cov = sigma if isinstance(sigma, cls) else cls(sigma)
+        if d is not None and cov.d != d:
+            raise DimMismatchError(f"covariance is {cov.d}x{cov.d} but the data have dimension {d}")
+        return cov
+
+    @property
+    def d(self) -> int:
+        return self.sigma.shape[0]
 
 
 @dataclass(frozen=True)
 class ModelParams:
     """Full model parameter (mu0, mu1, Sigma, alpha).
 
-    Immutable and safe to share across workers. Validation happens at
-    construction; the Cholesky factor of Sigma is computed once and cached
-    for O(d^2) Gaussian draws.
+    Immutable; validated at construction. ``sigma`` may be an array or a
+    :class:`KnownCovariance`; the field keeps the array and ``cov`` the value.
     """
 
     mu0: np.ndarray
     mu1: np.ndarray
     sigma: np.ndarray
     alpha: float
-    _chol: np.ndarray = field(init=False, repr=False, compare=False)
-    _is_identity: bool = field(init=False, repr=False, compare=False)
+    cov: KnownCovariance = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        cov = KnownCovariance.of(self.sigma)
         object.__setattr__(self, "mu0", _as_readonly(np.atleast_1d(self.mu0)))
         object.__setattr__(self, "mu1", _as_readonly(np.atleast_1d(self.mu1)))
-        object.__setattr__(self, "sigma", _as_readonly(np.atleast_2d(self.sigma)))
+        object.__setattr__(self, "sigma", cov.sigma)
+        object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "alpha", float(self.alpha))
         validate_params(self)
-        chol = np.linalg.cholesky(self.sigma)
-        chol.setflags(write=False)
-        object.__setattr__(self, "_chol", chol)
-        object.__setattr__(self, "_is_identity", bool((self.sigma == np.eye(self.d)).all()))
 
     @property
     def d(self) -> int:
@@ -99,9 +144,6 @@ class ModelParams:
         """Mean difference mu1 - mu0."""
         return self.mu1 - self.mu0
 
-    def cholesky(self) -> np.ndarray:
-        return self._chol
-
 
 def validate_params(theta: ModelParams) -> None:
     """Raise a typed error unless ``theta`` satisfies every model invariant."""
@@ -111,24 +153,18 @@ def validate_params(theta: ModelParams) -> None:
         raise DimMismatchError(f"mean shapes differ: {theta.mu0.shape} vs {theta.mu1.shape}")
     if not (np.all(np.isfinite(theta.mu0)) and np.all(np.isfinite(theta.mu1))):
         raise ValidationError("mean vectors contain non-finite entries")
-    _check_sigma(theta.sigma)
-    if theta.sigma.shape[0] != theta.mu0.shape[0]:
-        raise DimMismatchError(
-            f"covariance is {theta.sigma.shape[0]}x{theta.sigma.shape[0]} but means have length {theta.mu0.shape[0]}"
-        )
+    if theta.cov.d != theta.d:
+        raise DimMismatchError(f"covariance is {theta.cov.d}x{theta.cov.d} but means have length {theta.d}")
     if not (0.0 <= theta.alpha <= 1.0) or not np.isfinite(theta.alpha):
         raise AlphaRangeError(f"alpha must lie in [0, 1], got {theta.alpha!r}")
 
 
 def snr(theta: ModelParams) -> float:
-    """Mahalanobis separation (mu0 - mu1)' Sigma^{-1} (mu0 - mu1).
-
-    Zero exactly when the two component means coincide.
-    """
+    """Mahalanobis separation (mu0 - mu1)' Sigma^{-1} (mu0 - mu1); zero iff the means coincide."""
     diff = theta.mu0 - theta.mu1
     if not diff.any():
         return 0.0
-    half = np.linalg.solve(theta.cholesky(), diff)
+    half = np.linalg.solve(theta.cov.chol, diff)
     return float(half @ half)
 
 
@@ -232,8 +268,8 @@ def sample_with_latent(
         raise ValidationError(f"need n >= 1 samples, got {n}")
     z = rng.integers(0, 2, size=n, dtype=np.int8)
     x = rng.standard_normal((n, theta.d))
-    if not theta._is_identity:
-        x = x @ theta.cholesky().T
+    if not theta.cov.is_identity:
+        x = x @ theta.cov.chol.T
     if theta.mu0.any():
         x += theta.mu0
     shift = theta.mu1 - theta.mu0
@@ -254,19 +290,16 @@ def sigma_from_spec(spec: object, d: int) -> np.ndarray:
     """Build a covariance from its config form.
 
     Accepted forms: the string ``"identity"``, a length-``d`` list of diagonal
-    entries, or a dense ``d x d`` row-major matrix.
+    entries, or a dense ``d x d`` row-major matrix (its shape, like every
+    other rule, is checked by :class:`KnownCovariance`).
     """
     if isinstance(spec, str):
         if spec.lower() == "identity":
             return np.eye(d)
         raise ValidationError(f"unknown covariance spec {spec!r}")
     arr = np.asarray(spec, dtype=float)
-    if arr.ndim == 1:
-        if arr.shape[0] != d:
-            raise DimMismatchError(f"diagonal of length {arr.shape[0]} for dimension {d}")
-        return np.diag(arr)
-    if arr.ndim == 2:
-        if arr.shape != (d, d):
-            raise DimMismatchError(f"dense covariance shape {arr.shape} for dimension {d}")
-        return arr
-    raise ValidationError("covariance spec must be 'identity', a diagonal list, or a dense matrix")
+    if arr.ndim == 1 and arr.shape[0] != d:
+        raise DimMismatchError(f"diagonal of length {arr.shape[0]} for dimension {d}")
+    if arr.ndim not in (1, 2):
+        raise ValidationError("covariance spec must be 'identity', a diagonal list, or a dense matrix")
+    return np.diag(arr) if arr.ndim == 1 else arr

@@ -1,4 +1,4 @@
-"""Difference-sample construction and small dense matrix utilities.
+"""Difference-sample construction.
 
 Detection statistics never look at raw covariates directly: they consume
 whitened differences of consecutive samples (label-blind) and differences
@@ -10,56 +10,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonSPDError, OneClassMissingError, TooFewSamplesError
-from .model import Dataset
+from .errors import OneClassMissingError, TooFewSamplesError
+from .model import Dataset, KnownCovariance
 
 __all__ = [
-    "sym_inverse_sqrt",
     "whitened_pair_differences",
     "between_class_differences",
 ]
 
 
-def _is_identity(sigma: np.ndarray) -> bool:
-    return sigma.shape[0] == sigma.shape[1] and bool((sigma == np.eye(sigma.shape[0])).all())
-
-
-def sym_inverse_sqrt(sigma: np.ndarray) -> np.ndarray:
-    """Symmetric M with ``M @ sigma @ M = I``, via eigendecomposition.
-
-    Symmetry is preserved by construction; accuracy is limited only by the
-    conditioning of ``sigma``.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise NonSPDError(f"expected a square matrix, got shape {sigma.shape}")
-    if _is_identity(sigma):
-        return np.eye(sigma.shape[0])
-    if np.abs(sigma - sigma.T).max(initial=0.0) > 1e-10 * max(1.0, np.abs(sigma).max(initial=0.0)):
-        raise NonSPDError("matrix is not symmetric")
-    eigvals, eigvecs = np.linalg.eigh(sigma)
-    if eigvals[0] <= 0.0:
-        raise NonSPDError(f"matrix is not positive-definite (min eigenvalue {eigvals[0]:.3e})")
-    return (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
-
-
-def whitened_pair_differences(data: Dataset, sigma: np.ndarray) -> np.ndarray:
+def whitened_pair_differences(data: Dataset, sigma: np.ndarray | KnownCovariance) -> np.ndarray:
     """Whitened differences of consecutive covariates, labels ignored.
 
     Sample ``2i`` is subtracted from sample ``2i+1`` and the result is
     multiplied by ``sigma^{-1/2}``; a trailing odd sample is discarded.
     Under the null each row is N(0, 2I). Returns ``floor(n/2)`` rows.
     """
+    cov = KnownCovariance.of(sigma, data.d)
     if data.n < 2:
         raise TooFewSamplesError(f"need at least 2 samples to pair, got {data.n}")
     x = data.covariates
     m = data.n // 2
     diffs = x[1 : 2 * m : 2] - x[0 : 2 * m : 2]
-    sigma = np.asarray(sigma, dtype=float)
-    if _is_identity(sigma):
-        return diffs
-    root = sym_inverse_sqrt(sigma)
-    return diffs @ root  # root is symmetric, so this is sigma^{-1/2} applied rowwise
+    return diffs if cov.is_identity else diffs @ cov.inv_sqrt  # symmetric: rowwise sigma^{-1/2}
 
 
 def between_class_differences(data: Dataset) -> np.ndarray:

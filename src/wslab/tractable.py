@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveDiagonalError, ValidationError
+from .errors import ValidationError
 from .exhaustive import TestResult
+from .model import KnownCovariance
 from .oracle import (
     CoordinateQueryFamily,
     OracleConfig,
@@ -89,7 +90,7 @@ class TractableConfig:
         )
 
 
-def build_queries(cfg: TractableConfig, sigma: np.ndarray) -> CoordinateQueryFamily:
+def build_queries(cfg: TractableConfig, sigma: np.ndarray | KnownCovariance) -> CoordinateQueryFamily:
     """The ``4d`` bounded queries, in the fixed issue order.
 
     Order: ``d`` standardized coordinate means, ``d`` standardized second
@@ -98,15 +99,9 @@ def build_queries(cfg: TractableConfig, sigma: np.ndarray) -> CoordinateQueryFam
     ``R sqrt(log d)``, which also bounds the mean queries; second-moment
     queries are bounded by ``R^2 log d``.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    diag = np.diag(sigma)
-    if np.any(diag <= 0):
-        raise NonPositiveDiagonalError("covariance diagonal must be strictly positive")
-    d = cfg.d
-    if sigma.shape != (d, d):
-        raise ValidationError(f"covariance shape {sigma.shape} does not match d={d}")
+    diag = KnownCovariance.of(sigma, cfg.d).diag
     t = cfg.trunc_level
-    return CoordinateQueryFamily(diag, t, bound_mean=t, bound_var=cfg.R**2 * math.log(d))
+    return CoordinateQueryFamily(diag, t, bound_mean=t, bound_var=cfg.R**2 * math.log(cfg.d))
 
 
 def default_oracle_config(cfg: TractableConfig, budget_T: int | None = None) -> OracleConfig:
@@ -185,7 +180,7 @@ def decisions_from_responses(
 
 
 def run_tractable_test(
-    oracle: OraclePolicy, cfg: TractableConfig, sigma: np.ndarray
+    oracle: OraclePolicy, cfg: TractableConfig, sigma: np.ndarray | KnownCovariance
 ) -> TractableResult:
     """Issue the ``4d`` queries as one family and combine both decisions.
 

@@ -35,6 +35,18 @@ def test_rates_matches_theory(tmp_path, capsys):
     assert "# config:" in out
 
 
+def test_rates_output_ignores_settings_it_does_not_read(tmp_path, capsys):
+    outputs = []
+    for trials in (7, 500):
+        cfg = _write_config(
+            tmp_path, "rates.json", {"d": 100, "s": 2, "n": 1000, "alpha": [1.0], "trials": trials}
+        )
+        assert cli.main(["rates", "--config", cfg]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert '# config: {"alpha": [1.0], "d": 100, "n": 1000, "s": 2}' in outputs[0]
+
+
 def test_rates_golden_row(tmp_path, capsys):
     cfg = _write_config(tmp_path, "rates.json", {"d": 100, "s": 2, "n": 1000, "alpha": [1.0]})
     cli.main(["rates", "--config", cfg])

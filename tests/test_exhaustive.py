@@ -101,9 +101,7 @@ def test_statistic_matches_bruteforce_supremum(d, s, seed):
 
 
 def pairing_inverse_sqrt(sigma):
-    from wslab.pairing import sym_inverse_sqrt
-
-    return sym_inverse_sqrt(sigma)
+    return model.KnownCovariance(sigma).inv_sqrt
 
 
 def test_statistic_monotone_in_sparsity():

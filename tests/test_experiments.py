@@ -81,7 +81,9 @@ def test_single_cell_sweep_matches_estimate_risk():
     rows = experiments.sweep_phase_diagram(grid, tests=("exhaustive",))
     assert len(rows) == 1
     row = rows[0]
-    theta0, theta1, beta = experiments._cell_models(grid, 0, 0, 0.0, np.eye(8))
+    theta0, theta1, beta = experiments._cell_models(
+        grid, 0, 0, 0.0, model.KnownCovariance(np.eye(8))
+    )
     proc = experiments.exhaustive_procedure(
         np.eye(8), 2, default_thresholds(8, 2, grid.n // 2, np.eye(8))
     )
@@ -102,7 +104,7 @@ def test_sweep_with_dense_covariance_hits_target_separation():
     grid = _grid([0.5], [0.8], trials=3, d=d, s=2, n=60)
     rows = experiments.sweep_phase_diagram(grid, tests=("tractable_adversarial",), sigma=sigma)
     assert len(rows) == 1
-    theta0, theta1, beta = experiments._cell_models(grid, 0, 0, 0.0, sigma)
+    theta0, theta1, beta = experiments._cell_models(grid, 0, 0, 0.0, model.KnownCovariance(sigma))
     from wslab.model import snr
 
     assert snr(theta1) == pytest.approx(0.8, rel=1e-9)

@@ -9,11 +9,11 @@ from conftest import spd_matrix, stream
 
 
 def test_inverse_sqrt_identity():
-    np.testing.assert_allclose(pairing.sym_inverse_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(model.KnownCovariance(np.eye(3)).inv_sqrt, np.eye(3), atol=1e-14)
 
 
 def test_inverse_sqrt_diagonal():
-    got = pairing.sym_inverse_sqrt(np.diag([4.0, 9.0]))
+    got = model.KnownCovariance(np.diag([4.0, 9.0])).inv_sqrt
     np.testing.assert_allclose(got, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
 
 
@@ -21,7 +21,7 @@ def test_inverse_sqrt_diagonal():
 def test_inverse_sqrt_residual(seed):
     rng = stream(10, seed)
     sigma = spd_matrix(rng, 5, lo=0.2, hi=3.0)
-    m = pairing.sym_inverse_sqrt(sigma)
+    m = model.KnownCovariance(sigma).inv_sqrt
     np.testing.assert_allclose(m, m.T, atol=1e-12)
     residual = np.linalg.norm(m @ sigma @ m - np.eye(5))
     assert residual <= 1e-10
@@ -29,7 +29,7 @@ def test_inverse_sqrt_residual(seed):
 
 def test_inverse_sqrt_rejects_non_spd():
     with pytest.raises(errors.NonSPDError):
-        pairing.sym_inverse_sqrt(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        model.KnownCovariance(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def _dataset(x: np.ndarray, labels=None) -> model.Dataset:
