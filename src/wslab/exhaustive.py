@@ -6,7 +6,7 @@ Two statistics drive the information-theoretically optimal test:
   sparse direction whose whitened pair differences carry inflated variance;
 * the largest standardized coordinate of the mean between-class difference.
 
-The combined test rejects when either exceeds its threshold. The variance
+The combined test rejects when either reaches its threshold. The variance
 search enumerates all ``C(d, s)`` supports exactly, so it is only usable at
 desk scale; a hard combinatorial budget guards against accidental blowups.
 """
@@ -76,6 +76,11 @@ class Thresholds:
     def __post_init__(self) -> None:
         if not (self.tau1 > 0 and self.tau2 > 0):
             raise ValidationError("thresholds must be positive")
+
+    @property
+    def levels(self) -> tuple[float, float]:
+        """Rejection levels of (variance quotient, peak coordinate): ``(1 + tau1, tau2)``."""
+        return 1.0 + self.tau1, self.tau2
 
 
 def default_thresholds(d: int, s: int, n: int, sigma: np.ndarray | KnownCovariance) -> Thresholds:
@@ -228,9 +233,8 @@ def run_exhaustive_test(
         thresholds = default_thresholds(data.d, s, w.shape[0], cov)
     stat1, support = sparse_variance_statistic(w, cov, s, support_budget=support_budget)
     stat2, coord, sign = peak_coordinate_statistic(u, cov)
+    level1, level2 = thresholds.levels
     return ExhaustiveResult(
-        variance_search=TestResult.decide(stat1, 1.0 + thresholds.tau1, detail={"support": support}),
-        peak_coordinate=TestResult.decide(
-            stat2, thresholds.tau2, detail={"coordinate": coord, "sign": sign}
-        ),
+        variance_search=TestResult.decide(stat1, level1, detail={"support": support}),
+        peak_coordinate=TestResult.decide(stat2, level2, detail={"coordinate": coord, "sign": sign}),
     )

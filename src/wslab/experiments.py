@@ -24,11 +24,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import AlphaRangeError, ValidationError
 from .exhaustive import Thresholds, default_thresholds, run_exhaustive_test
 from .model import AltSpec, Dataset, KnownCovariance, ModelParams
 from .model import make_restricted_alternative, sample_dataset
-from .oracle import AdversarialPairOracle, EmpiricalOracle, GapRecord
+from .oracle import AdversarialPairOracle, EmpiricalOracle, GapRecord, OraclePolicy
 from .seeding import spawn_rng
 from .tractable import (
     TractableConfig,
@@ -44,15 +44,12 @@ __all__ = [
     "OracleDemoReport",
     "estimate_risk",
     "exhaustive_procedure",
-    "tractable_procedure",
     "sweep_phase_diagram",
     "sweep_rows_to_csv",
     "oracle_demo",
     "demo_records_to_csv",
     "SWEEP_TESTS",
 ]
-
-TestProcedure = Callable[[Dataset], bool]
 
 SWEEP_TESTS = ("exhaustive", "tractable_honest", "tractable_adversarial")
 
@@ -85,8 +82,22 @@ class RiskEstimate:
             raise ValidationError("error rates must lie in [0, 1]")
 
 
+def _risk(null: Sequence, alt: Sequence, levels: Sequence[float], trials: int) -> RiskEstimate:
+    """Error rates from statistic rows, one row per draw under each model: a
+    row rejects when any statistic is ``>=`` its level, as in :meth:`TestResult.decide`."""
+    level = np.asarray(levels, dtype=float)
+
+    def rejected(rows: Sequence) -> int:
+        stats = np.asarray(rows, dtype=float)
+        if stats.shape[1:] != level.shape:
+            raise ValidationError(f"statistics of shape {stats.shape[1:]} against levels {level.shape}")
+        return int(np.count_nonzero((stats >= level).any(axis=1)))
+
+    return RiskEstimate(rejected(null) / len(null), (len(alt) - rejected(alt)) / len(alt), trials)
+
+
 def estimate_risk(
-    test: TestProcedure,
+    test: tuple[Callable[[Dataset], Sequence[float]], Sequence[float]],
     theta0: ModelParams,
     theta1: ModelParams,
     n: int,
@@ -95,18 +106,19 @@ def estimate_risk(
 ) -> RiskEstimate:
     """Estimate type-I and type-II errors of ``test`` on a fixed model pair.
 
-    Runs ``trials`` independent datasets of size ``n`` under each model; each
-    trial owns a child stream of ``rng``, so estimates do not depend on
-    evaluation order.
+    ``test`` is a pair ``(statistics, levels)``: ``statistics(data)`` returns
+    a short float vector, and a dataset is rejected when any entry reaches
+    its level. Runs ``trials`` independent datasets of size ``n`` under each
+    model; each trial owns a child stream of ``rng``, so estimates do not
+    depend on evaluation order.
     """
     if trials < 1:
         raise ValidationError(f"need trials >= 1, got {trials}")
+    statistics, levels = test
     gens = rng.spawn(2 * trials)
-    rejects_null = sum(bool(test(sample_dataset(theta0, n, gens[i]))) for i in range(trials))
-    accepts_alt = sum(
-        not bool(test(sample_dataset(theta1, n, gens[trials + i]))) for i in range(trials)
-    )
-    return RiskEstimate(type1=rejects_null / trials, type2=accepts_alt / trials, trials=trials)
+    null = [statistics(sample_dataset(theta0, n, gens[i])) for i in range(trials)]
+    alt = [statistics(sample_dataset(theta1, n, gens[trials + i])) for i in range(trials)]
+    return _risk(null, alt, levels, trials)
 
 
 def exhaustive_procedure(
@@ -114,28 +126,28 @@ def exhaustive_procedure(
     s: int,
     thresholds: Thresholds,
     support_budget: int = 1_000_000,
-) -> TestProcedure:
-    """Dataset-to-decision wrapper around the exhaustive test."""
+) -> tuple[Callable[[Dataset], tuple[float, float]], tuple[float, float]]:
+    """The exhaustive test as ``(statistics, levels)``: a dataset's variance
+    quotient and peak coordinate, against ``thresholds.levels``."""
     cov = KnownCovariance.of(sigma)
 
-    def test(data: Dataset) -> bool:
-        return run_exhaustive_test(data, cov, s, thresholds, support_budget=support_budget).reject
+    def statistics(data: Dataset) -> tuple[float, float]:
+        result = run_exhaustive_test(data, cov, s, thresholds, support_budget=support_budget)
+        return result.variance_search.statistic, result.peak_coordinate.statistic
 
-    return test
+    return statistics, thresholds.levels
 
 
-def tractable_procedure(cfg: TractableConfig, sigma: np.ndarray | KnownCovariance) -> TestProcedure:
-    """Dataset-to-decision wrapper: honest empirical oracle over the dataset.
+def _query_test(cfg: TractableConfig, cov: KnownCovariance) -> tuple[Callable, tuple[float, float]]:
+    """The query test as ``(statistics, levels)`` over an oracle policy, with
+    the ``4d`` family built once, here."""
+    queries = build_queries(cfg, cov)
 
-    The query family and the oracle configuration are built once, here.
-    """
-    queries = build_queries(cfg, sigma)
-    ocfg = default_oracle_config(cfg)
+    def statistics(oracle: OraclePolicy) -> tuple[float, float]:
+        result = decisions_from_responses(oracle.query_all(queries), cfg)
+        return result.diagonal.statistic, result.signed.statistic
 
-    def test(data: Dataset) -> bool:
-        return decisions_from_responses(EmpiricalOracle(data, ocfg).query_all(queries), cfg).reject
-
-    return test
+    return statistics, cfg.levels
 
 
 @dataclass(frozen=True)
@@ -165,6 +177,8 @@ class SweepGrid:
             raise ValidationError("grid values must be finite")
         if any(g < 0 for g in gammas):
             raise ValidationError("gamma values must be nonnegative")
+        if not all(0.0 <= a <= 1.0 for a in alphas):
+            raise AlphaRangeError(f"alpha values must lie in [0, 1], got {alphas}")
         if self.trials < 1:
             raise ValidationError(f"need trials >= 1, got {self.trials}")
 
@@ -211,30 +225,6 @@ def _cell_models(
     return theta0, theta1, beta
 
 
-def _adversarial_procedure(
-    cfg: TractableConfig, cov: KnownCovariance
-) -> Callable[[ModelParams, ModelParams, int], RiskEstimate]:
-    """Cell-to-risk wrapper around the adversarial pair oracle.
-
-    The pair oracle responds deterministically from analytic expectations,
-    so one evaluation per arm settles every trial.
-    """
-    queries = build_queries(cfg, cov)
-    ocfg = default_oracle_config(cfg)
-
-    def estimate(theta0: ModelParams, theta1: ModelParams, trials: int) -> RiskEstimate:
-        adv = AdversarialPairOracle(theta0, theta1, ocfg)
-        reject_null = decisions_from_responses(adv.policy(0).query_all(queries), cfg).reject
-        reject_alt = decisions_from_responses(adv.policy(1).query_all(queries), cfg).reject
-        return RiskEstimate(
-            type1=1.0 if reject_null else 0.0,
-            type2=0.0 if reject_alt else 1.0,
-            trials=trials,
-        )
-
-    return estimate
-
-
 def sweep_phase_diagram(
     grid: SweepGrid,
     tests: Sequence[str] = SWEEP_TESTS,
@@ -262,33 +252,33 @@ def sweep_phase_diagram(
     if threads < 1:
         raise ValidationError(f"threads must be positive, got {threads}")
     cov = KnownCovariance.of(np.eye(grid.d) if sigma is None else sigma, grid.d)
-    pair_count = grid.n // 2
-    thresholds = default_thresholds(grid.d, grid.s, max(pair_count, 1), cov)
+    thresholds = default_thresholds(grid.d, grid.s, max(grid.n // 2, 1), cov)
     tcfg = TractableConfig(d=grid.d, n=grid.n, R=R, C=C, xi=xi)
-    # built once per sweep, for the requested tests only
-    factories = {
-        "exhaustive": lambda: exhaustive_procedure(cov, grid.s, thresholds, support_budget),
-        "tractable_honest": lambda: tractable_procedure(tcfg, cov),
-        "tractable_adversarial": lambda: _adversarial_procedure(tcfg, cov),
+    ocfg = default_oracle_config(tcfg)
+    queried, query_levels = _query_test(tcfg, cov)
+
+    def sampled(test: tuple[Callable[[Dataset], Sequence[float]], Sequence[float]]) -> Callable:
+        return lambda theta0, theta1, key: estimate_risk(
+            test, theta0, theta1, grid.n, grid.trials, spawn_rng(grid.seed, _TRIALS_KEY, *key)
+        )
+
+    def pair_oracle(theta0: ModelParams, theta1: ModelParams, key: tuple[int, ...]) -> RiskEstimate:
+        # analytic expectations and no draws: one row per arm settles every trial
+        adv = AdversarialPairOracle(theta0, theta1, ocfg)
+        return _risk([queried(adv.policy(0))], [queried(adv.policy(1))], query_levels, grid.trials)
+
+    arms = {
+        "exhaustive": sampled(exhaustive_procedure(cov, grid.s, thresholds, support_budget)),
+        "tractable_honest": sampled((lambda data: queried(EmpiricalOracle(data, ocfg)), query_levels)),
+        "tractable_adversarial": pair_oracle,
     }
-    procedures = {name: factories[name]() for name in tests}
 
     rows: list[SweepRow] = []
     for ia, alpha in enumerate(grid.alpha_values):
         for ig, gamma in enumerate(grid.gamma_values):
             theta0, theta1, beta = _cell_models(grid, ia, ig, null_mu_scale, cov)
             for test_index, name in enumerate(tests):
-                if name == "tractable_adversarial":
-                    est = procedures[name](theta0, theta1, grid.trials)
-                else:
-                    est = estimate_risk(
-                        procedures[name],
-                        theta0,
-                        theta1,
-                        grid.n,
-                        grid.trials,
-                        spawn_rng(grid.seed, _TRIALS_KEY, ia, ig, test_index),
-                    )
+                est = arms[name](theta0, theta1, (ia, ig, test_index))
                 rows.append(
                     SweepRow(
                         alpha=alpha,

@@ -48,7 +48,7 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnownCovariance:
     """The model's known covariance Sigma, validated and factored once.
 
@@ -62,12 +62,12 @@ class KnownCovariance:
     """
 
     sigma: np.ndarray
-    diag: np.ndarray = field(init=False, repr=False, compare=False)
-    kappa: float = field(init=False, repr=False, compare=False)
-    inv_sqrt: np.ndarray = field(init=False, repr=False, compare=False)
-    twice_precision: np.ndarray = field(init=False, repr=False, compare=False)
-    chol: np.ndarray = field(init=False, repr=False, compare=False)
-    is_identity: bool = field(init=False, repr=False, compare=False)
+    diag: np.ndarray = field(init=False, repr=False)
+    kappa: float = field(init=False, repr=False)
+    inv_sqrt: np.ndarray = field(init=False, repr=False)
+    twice_precision: np.ndarray = field(init=False, repr=False)
+    chol: np.ndarray = field(init=False, repr=False)
+    is_identity: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         sigma = _as_readonly(self.sigma)
@@ -112,7 +112,7 @@ class KnownCovariance:
         return self.sigma.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     """Full model parameter (mu0, mu1, Sigma, alpha).
 
@@ -124,7 +124,7 @@ class ModelParams:
     mu1: np.ndarray
     sigma: np.ndarray
     alpha: float
-    cov: KnownCovariance = field(init=False, repr=False, compare=False)
+    cov: KnownCovariance = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         cov = KnownCovariance.of(self.sigma)
@@ -211,7 +211,7 @@ def make_restricted_alternative(spec: AltSpec, alpha: float) -> ModelParams:
     return ModelParams(mu0=-v / 2.0, mu1=v / 2.0, sigma=np.eye(spec.d), alpha=alpha)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Observed sample: corrupted labels and covariates, aligned by index."""
 

@@ -6,8 +6,8 @@ standardized second moment, and two signed-label means (one per sign). Two
 decision rules consume the responses:
 
 * diagonal thresholding: reject when some coordinate's response-based
-  variance proxy ``z_var - z_mean^2`` exceeds ``C * tau_var``;
-* signed coordinate scan: reject when some signed-label response exceeds
+  variance proxy ``z_var - z_mean^2`` reaches ``C * tau_var``;
+* signed coordinate scan: reject when some signed-label response reaches
   ``2 * tau_mean``.
 
 The combined rule rejects when either fires. Decisions depend on responses
@@ -89,6 +89,11 @@ class TractableConfig:
             self.R * math.sqrt(math.log(self.d)) * math.sqrt(math.log(4 * self.d / self.xi) / self.n)
         )
 
+    @property
+    def levels(self) -> tuple[float, float]:
+        """Rejection levels of (diagonal proxy, signed maximum): ``(C tau_var, 2 tau_mean)``."""
+        return self.C * self.tau_var, 2.0 * self.tau_mean
+
 
 def build_queries(cfg: TractableConfig, sigma: np.ndarray | KnownCovariance) -> CoordinateQueryFamily:
     """The ``4d`` bounded queries, in the fixed issue order.
@@ -125,7 +130,7 @@ def diagonal_threshold_test(
 ) -> TestResult:
     """Variance-scan decision from one response pair per coordinate.
 
-    Statistic ``max_j (z_var_j - z_mean_j^2)`` against ``C * tau_var``;
+    Statistic ``max_j (z_var_j - z_mean_j^2)`` against ``cfg.levels[0]``;
     the witnessing coordinate is recorded in ``detail``.
     """
     zv = np.asarray(second_moment_responses, dtype=float)
@@ -134,11 +139,11 @@ def diagonal_threshold_test(
         raise ValidationError(f"expected {cfg.d} responses per family, got {zv.shape} and {zm.shape}")
     proxy = zv - zm * zm
     j = int(np.argmax(proxy))
-    return TestResult.decide(float(proxy[j]), cfg.C * cfg.tau_var, detail={"coordinate": j})
+    return TestResult.decide(float(proxy[j]), cfg.levels[0], detail={"coordinate": j})
 
 
 def signed_mean_test(signed_responses: np.ndarray, cfg: TractableConfig) -> TestResult:
-    """Signed coordinate decision: ``max`` response against ``2 * tau_mean``.
+    """Signed coordinate decision: ``max`` response against ``cfg.levels[1]``.
 
     ``detail`` records the witnessing direction as ``(sign, coordinate)``
     under the fixed issue order (all ``+`` first).
@@ -148,7 +153,7 @@ def signed_mean_test(signed_responses: np.ndarray, cfg: TractableConfig) -> Test
         raise ValidationError(f"expected {2 * cfg.d} signed responses, got {zs.shape}")
     idx = int(np.argmax(zs))
     sign, j = (1, idx) if idx < cfg.d else (-1, idx - cfg.d)
-    return TestResult.decide(float(zs[idx]), 2.0 * cfg.tau_mean, detail={"sign": sign, "coordinate": j})
+    return TestResult.decide(float(zs[idx]), cfg.levels[1], detail={"sign": sign, "coordinate": j})
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,18 @@ def test_sweep_emits_wellformed_svg(tmp_path):
     assert len(polylines) == 2 * 3  # two boundary curves per panel
 
 
+def test_sweep_alpha_out_of_range_exits_2_before_any_cell(tmp_path, capsys, monkeypatch):
+    from wslab import experiments
+
+    cells = []
+    real = experiments._cell_models
+    monkeypatch.setattr(experiments, "_cell_models", lambda *a: cells.append(a) or real(*a))
+    cfg = _sweep_config(tmp_path, alpha=[0.0, 0.5, 1.5])
+    assert cli.main(["sweep", "--config", cfg]) == 2
+    assert "alpha" in capsys.readouterr().err
+    assert cells == []
+
+
 def test_sweep_combinatorial_budget_exits_3(tmp_path, capsys):
     cfg = _sweep_config(tmp_path, s=5, d=60, n=40)
     code = cli.main(["sweep", "--config", cfg])

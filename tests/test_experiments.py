@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from wslab import errors, experiments, model
-from wslab.exhaustive import default_thresholds
+from wslab import errors, experiments, model, tractable
+from wslab.exhaustive import default_thresholds, run_exhaustive_test
+from wslab.oracle import EmpiricalOracle
 from wslab.seeding import spawn_rng
 from wslab.theory import tractable_rate
 
@@ -21,24 +22,78 @@ def _pair(d=4, alpha=0.5, beta=0.6):
 
 
 def test_always_reject_risk():
+    # a statistic always above its level rejects every dataset
     theta0, theta1 = _pair()
-    est = experiments.estimate_risk(lambda data: True, theta0, theta1, 10, 25, stream(70))
+    est = experiments.estimate_risk((lambda data: (1.0,), (0.0,)), theta0, theta1, 10, 25, stream(70))
     assert (est.type1, est.type2, est.risk) == (1.0, 0.0, 1.0)
 
 
 def test_always_accept_risk():
+    # a statistic always below its level rejects nothing
     theta0, theta1 = _pair()
-    est = experiments.estimate_risk(lambda data: False, theta0, theta1, 10, 25, stream(71))
+    est = experiments.estimate_risk((lambda data: (0.0,), (1.0,)), theta0, theta1, 10, 25, stream(71))
     assert (est.type1, est.type2, est.risk) == (0.0, 1.0, 1.0)
 
 
 def test_data_coin_test_has_risk_near_one():
-    # a test that ignores the hypothesis entirely: risk concentrates at 1
+    # a test that ignores the hypothesis entirely: risk concentrates at 1;
+    # the statistic is the indicator the boolean test returned, at level 1
     theta0, theta1 = _pair()
-    est = experiments.estimate_risk(
-        lambda data: bool(data.covariates[0, 0] > 0), theta0, theta1, 50, 400, stream(72)
-    )
+    coin = (lambda data: (float(data.covariates[0, 0] > 0),), (1.0,))
+    est = experiments.estimate_risk(coin, theta0, theta1, 50, 400, stream(72))
     assert abs(est.risk - 1.0) <= 2 * est.half_width
+
+
+def test_statistic_at_its_level_rejects():
+    # inclusive rule: one entry exactly at its level rejects the dataset,
+    # the next float below does not
+    theta0, theta1 = _pair()
+    at_level = (lambda data: (0.5, -1.0), (0.5, 0.0))
+    est = experiments.estimate_risk(at_level, theta0, theta1, 10, 5, stream(75))
+    assert (est.type1, est.type2) == (1.0, 0.0)
+    second = (lambda data: (0.0, 2.0), (0.5, 2.0))
+    est = experiments.estimate_risk(second, theta0, theta1, 10, 5, stream(75))
+    assert (est.type1, est.type2) == (1.0, 0.0)
+    below = (lambda data: (np.nextafter(0.5, 0.0), np.nextafter(2.0, 0.0)), (0.5, 2.0))
+    est = experiments.estimate_risk(below, theta0, theta1, 10, 5, stream(75))
+    assert (est.type1, est.type2) == (0.0, 1.0)
+
+
+def test_statistics_must_match_levels():
+    theta0, theta1 = _pair()
+    with pytest.raises(errors.ValidationError, match="levels"):
+        experiments.estimate_risk((lambda data: (0.0, 1.0), (0.5,)), theta0, theta1, 10, 3, stream(76))
+
+
+def test_sweep_pairs_match_the_per_dataset_decisions():
+    # the (statistics, levels) pairs the sweep counts are the (statistic,
+    # threshold) pairs of the per-dataset tests, bit for bit
+    d, s, n = 8, 2, 400
+    rng = stream(77)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    sigma = q @ np.diag(rng.uniform(0.5, 2.0, d)) @ q.T
+    sigma = (sigma + sigma.T) / 2.0
+    cov = model.KnownCovariance(sigma)
+    theta = model.ModelParams(np.full(d, -0.2), np.full(d, 0.2), cov, 0.6)
+    data = model.sample_dataset(theta, n, rng)
+
+    thresholds = default_thresholds(d, s, n // 2, cov)
+    statistics, levels = experiments.exhaustive_procedure(cov, s, thresholds)
+    result = run_exhaustive_test(data, cov, s, thresholds)
+    pairs = [result.variance_search, result.peak_coordinate]
+    assert tuple(statistics(data)) == tuple(r.statistic for r in pairs)
+    assert tuple(levels) == tuple(r.threshold for r in pairs)
+    assert levels == (1.0 + thresholds.tau1, thresholds.tau2)
+
+    tcfg = tractable.TractableConfig(d=d, n=n, R=1.0, C=2.0)
+    ocfg = tractable.default_oracle_config(tcfg)
+    statistics, levels = experiments._query_test(tcfg, cov)
+    queries = tractable.build_queries(tcfg, cov)
+    result = tractable.decisions_from_responses(EmpiricalOracle(data, ocfg).query_all(queries), tcfg)
+    pairs = [result.diagonal, result.signed]
+    assert tuple(statistics(EmpiricalOracle(data, ocfg))) == tuple(r.statistic for r in pairs)
+    assert tuple(levels) == tuple(r.threshold for r in pairs)
+    assert levels == (tcfg.C * tcfg.tau_var, 2.0 * tcfg.tau_mean)
 
 
 def test_half_width_formula():
@@ -74,6 +129,12 @@ def test_grid_validation():
         _grid([0.5, 0.1], [0.1])
     with pytest.raises(errors.ValidationError):
         _grid([0.5], [-0.1])
+
+
+@pytest.mark.parametrize("alphas", [(0.5, 1.5), (-0.1, 0.5)])
+def test_grid_rejects_alpha_outside_unit_interval(alphas):
+    with pytest.raises(errors.AlphaRangeError):
+        _grid(alphas, [0.1])
 
 
 def test_single_cell_sweep_matches_estimate_risk():
@@ -146,11 +207,9 @@ def test_label_blind_power_at_zero_supervision():
         model.AltSpec(support=(0, 1), beta=0.35, d=d), alpha=0.0
     )
     thr = default_thresholds(d, 2, n // 2, np.eye(d))
-    from wslab.exhaustive import run_exhaustive_test
-
-    def coordinate_only(data):
-        return run_exhaustive_test(data, np.eye(d), 2, thr).peak_coordinate.reject
-
+    statistics, levels = experiments.exhaustive_procedure(np.eye(d), 2, thr)
+    # the peak coordinate alone: its statistic against its level
+    coordinate_only = (lambda data: statistics(data)[1:], levels[1:])
     est = experiments.estimate_risk(coordinate_only, theta0, theta1, n, trials, stream(73))
     power = 1.0 - est.type2
     assert abs(power - est.type1) <= 3 * est.half_width

@@ -27,6 +27,26 @@ def test_asymmetric_sigma_rejected():
         model.ModelParams(np.zeros(2), np.zeros(2), np.array([[1.0, 0.1], [0.0, 1.0]]), 0.5)
 
 
+def test_array_valued_values_compare_and_hash_by_identity():
+    # array fields: a field-wise == would raise numpy's ambiguous-truth error
+    cov = model.KnownCovariance(np.eye(2))
+    values = [
+        cov,
+        model.ModelParams(np.zeros(2), np.zeros(2), cov, 0.5),
+        model.Dataset(np.array([0, 1]), np.zeros((2, 2))),
+    ]
+    twins = [
+        model.KnownCovariance(np.eye(2)),
+        model.ModelParams(np.zeros(2), np.zeros(2), cov, 0.5),
+        model.Dataset(np.array([0, 1]), np.zeros((2, 2))),
+    ]
+    for value, twin in zip(values, twins):
+        assert value == value
+        assert value != twin
+        assert hash(value) == hash(value)
+        assert {value: 1, twin: 2}[value] == 1
+
+
 @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
 def test_alpha_out_of_range_rejected(alpha):
     with pytest.raises(errors.AlphaRangeError):
