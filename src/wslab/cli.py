@@ -35,11 +35,6 @@ from .verify import SUITES, checks_to_csv, run_suites
 
 log = logging.getLogger("wslab")
 
-_CONFIG_KEYS = {
-    "d", "s", "n", "alpha", "gamma", "beta", "sigma", "R", "C", "xi", "C0",
-    "trials", "seed", "tests", "threads", "out", "svg", "suites",
-}
-
 _DEFAULTS = {
     "d": 40, "s": 2, "n": 2000, "alpha": [0.0, 0.5, 1.0], "gamma": None, "beta": None,
     "sigma": "identity", "R": 4.0, "C": 8.0, "xi": None, "C0": 0.0,
@@ -64,7 +59,7 @@ def _load_config(path: str | None) -> dict:
         ) from exc
     if not isinstance(loaded, dict):
         raise ConfigError(f"config root must be an object, got {type(loaded).__name__}")
-    unknown = sorted(set(loaded) - _CONFIG_KEYS)
+    unknown = sorted(set(loaded) - _DEFAULTS.keys())
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
     cfg.update(loaded)

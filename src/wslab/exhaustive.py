@@ -33,7 +33,7 @@ __all__ = [
     "run_exhaustive_test",
 ]
 
-DEFAULT_SUPPORT_BUDGET = 1_000_000
+SUPPORT_BUDGET = 1_000_000
 
 # float64 values per (k, s, s) operand of one batch of the s >= 3 search
 # (1 MiB), so memory stays bounded whatever C(d, s) is
@@ -96,20 +96,10 @@ def default_thresholds(d: int, s: int, n: int, sigma: np.ndarray | KnownCovarian
     return Thresholds(tau1=tau1, tau2=tau2, kappa=kappa)
 
 
-def _check_support_budget(d: int, s: int, budget: int) -> None:
-    count = math.comb(d, s)
-    if count > budget:
-        raise CombinatorialBudgetError(
-            f"enumerating C({d},{s}) = {count} supports exceeds the budget of {budget}; "
-            "reduce s or d"
-        )
-
-
 def sparse_variance_statistic(
     w: np.ndarray,
     sigma: np.ndarray | KnownCovariance,
     s: int,
-    support_budget: int = DEFAULT_SUPPORT_BUDGET,
 ) -> tuple[float, tuple[int, ...]]:
     """Supremum of the normalized sparse variance quotient, with its support.
 
@@ -131,8 +121,9 @@ def sparse_variance_statistic(
     in lexicographic order (first maximum within a batch, a strict ``>``
     across batches), so results are deterministic.
 
-    Raises :class:`ValidationError` when ``G`` is not finite (a NaN or an
-    infinity in ``w``).
+    Raises :class:`CombinatorialBudgetError` when ``C(d, s)`` exceeds
+    ``SUPPORT_BUDGET``, before any work, and :class:`ValidationError` when
+    ``G`` is not finite (a NaN or an infinity in ``w``).
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] < 1:
@@ -140,7 +131,11 @@ def sparse_variance_statistic(
     d = w.shape[1]
     if not (1 <= s <= d):
         raise ValidationError(f"need 1 <= s <= d, got s={s}, d={d}")
-    _check_support_budget(d, s, support_budget)
+    if (count := math.comb(d, s)) > SUPPORT_BUDGET:
+        raise CombinatorialBudgetError(
+            f"enumerating C({d},{s}) = {count} supports exceeds the budget of {SUPPORT_BUDGET}; "
+            "reduce s or d"
+        )
 
     cov = KnownCovariance.of(sigma, d)
     y = w if cov.is_identity else w @ cov.inv_sqrt
@@ -218,7 +213,6 @@ def run_exhaustive_test(
     sigma: np.ndarray | KnownCovariance,
     s: int,
     thresholds: Thresholds | None = None,
-    support_budget: int = DEFAULT_SUPPORT_BUDGET,
 ) -> ExhaustiveResult:
     """Run both exhaustive statistics on one dataset and combine by disjunction.
 
@@ -231,7 +225,7 @@ def run_exhaustive_test(
     u = between_class_differences(data)
     if thresholds is None:
         thresholds = default_thresholds(data.d, s, w.shape[0], cov)
-    stat1, support = sparse_variance_statistic(w, cov, s, support_budget=support_budget)
+    stat1, support = sparse_variance_statistic(w, cov, s)
     stat2, coord, sign = peak_coordinate_statistic(u, cov)
     level1, level2 = thresholds.levels
     return ExhaustiveResult(

@@ -125,14 +125,13 @@ def exhaustive_procedure(
     sigma: np.ndarray | KnownCovariance,
     s: int,
     thresholds: Thresholds,
-    support_budget: int = 1_000_000,
 ) -> tuple[Callable[[Dataset], tuple[float, float]], tuple[float, float]]:
     """The exhaustive test as ``(statistics, levels)``: a dataset's variance
     quotient and peak coordinate, against ``thresholds.levels``."""
     cov = KnownCovariance.of(sigma)
 
     def statistics(data: Dataset) -> tuple[float, float]:
-        result = run_exhaustive_test(data, cov, s, thresholds, support_budget=support_budget)
+        result = run_exhaustive_test(data, cov, s, thresholds)
         return result.variance_search.statistic, result.peak_coordinate.statistic
 
     return statistics, thresholds.levels
@@ -234,7 +233,6 @@ def sweep_phase_diagram(
     R: float = 4.0,
     C: float = 8.0,
     xi: float | None = None,
-    support_budget: int = 1_000_000,
 ) -> list[SweepRow]:
     """Monte Carlo risk over the grid, one row per (cell, test).
 
@@ -268,7 +266,7 @@ def sweep_phase_diagram(
         return _risk([queried(adv.policy(0))], [queried(adv.policy(1))], query_levels, grid.trials)
 
     arms = {
-        "exhaustive": sampled(exhaustive_procedure(cov, grid.s, thresholds, support_budget)),
+        "exhaustive": sampled(exhaustive_procedure(cov, grid.s, thresholds)),
         "tractable_honest": sampled((lambda data: queried(EmpiricalOracle(data, ocfg)), query_levels)),
         "tractable_adversarial": pair_oracle,
     }

@@ -27,7 +27,6 @@ __all__ = [
     "ModelParams",
     "AltSpec",
     "Dataset",
-    "validate_params",
     "snr",
     "make_restricted_alternative",
     "sample_dataset",
@@ -133,7 +132,16 @@ class ModelParams:
         object.__setattr__(self, "sigma", cov.sigma)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "alpha", float(self.alpha))
-        validate_params(self)
+        if self.mu0.ndim != 1 or self.mu1.ndim != 1:
+            raise DimMismatchError("mean vectors must be one-dimensional")
+        if self.mu0.shape != self.mu1.shape:
+            raise DimMismatchError(f"mean shapes differ: {self.mu0.shape} vs {self.mu1.shape}")
+        if not (np.all(np.isfinite(self.mu0)) and np.all(np.isfinite(self.mu1))):
+            raise ValidationError("mean vectors contain non-finite entries")
+        if cov.d != self.d:
+            raise DimMismatchError(f"covariance is {cov.d}x{cov.d} but means have length {self.d}")
+        if not (0.0 <= self.alpha <= 1.0) or not np.isfinite(self.alpha):
+            raise AlphaRangeError(f"alpha must lie in [0, 1], got {self.alpha!r}")
 
     @property
     def d(self) -> int:
@@ -143,20 +151,6 @@ class ModelParams:
     def delta_mu(self) -> np.ndarray:
         """Mean difference mu1 - mu0."""
         return self.mu1 - self.mu0
-
-
-def validate_params(theta: ModelParams) -> None:
-    """Raise a typed error unless ``theta`` satisfies every model invariant."""
-    if theta.mu0.ndim != 1 or theta.mu1.ndim != 1:
-        raise DimMismatchError("mean vectors must be one-dimensional")
-    if theta.mu0.shape != theta.mu1.shape:
-        raise DimMismatchError(f"mean shapes differ: {theta.mu0.shape} vs {theta.mu1.shape}")
-    if not (np.all(np.isfinite(theta.mu0)) and np.all(np.isfinite(theta.mu1))):
-        raise ValidationError("mean vectors contain non-finite entries")
-    if theta.cov.d != theta.d:
-        raise DimMismatchError(f"covariance is {theta.cov.d}x{theta.cov.d} but means have length {theta.d}")
-    if not (0.0 <= theta.alpha <= 1.0) or not np.isfinite(theta.alpha):
-        raise AlphaRangeError(f"alpha must lie in [0, 1], got {theta.alpha!r}")
 
 
 def snr(theta: ModelParams) -> float:

@@ -240,8 +240,9 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class OracleResponse:
+    """An oracle's answer: a value and the id of the query it answers."""
+
     value: float
-    tolerance_used: float
     query_id: str
 
 
@@ -403,10 +404,8 @@ class EmpiricalOracle(OraclePolicy):
     """Honest oracle: responds with the sample average of the query.
 
     Responses are deterministic given the dataset and invariant to sample
-    order. ``tolerance_used`` is the plug-in tolerance evaluated at the
-    empirical mean (clipped to the query's range); conformance against the
-    exact tolerance is a statement about the data distribution and is checked
-    in tests, not here.
+    order. Conformance against the exact tolerance is a statement about the
+    data distribution and is checked in tests, not here.
 
     ``query_all`` answers a ``CoordinateQueryFamily`` in one blocked pass
     over the covariates; any other query runs its own ``evaluate``. For
@@ -427,7 +426,7 @@ class EmpiricalOracle(OraclePolicy):
             return super().query_all(queries)
         self._issued += len(queries)
         values = queries.column_means(self._labels, self.data.covariates)
-        return [self._response(q, v) for q, v in zip(queries, values.tolist())]
+        return [OracleResponse(value=v, query_id=q.id) for q, v in zip(queries, values.tolist())]
 
     def _respond(self, q: BoundedQuery) -> OracleResponse:
         if self._columns is None:
@@ -438,38 +437,28 @@ class EmpiricalOracle(OraclePolicy):
                 f"query {q.id!r} returned shape {values.shape}, expected ({self.data.n},)"
             )
         # values.mean() divides this same sum by n, with more per-call overhead
-        return self._response(q, float(np.add.reduce(values) / self.data.n))
-
-    def _response(self, q: BoundedQuery, value: float) -> OracleResponse:
-        plug_in = min(max(value, -q.bound_M), q.bound_M)
-        return OracleResponse(value=value, tolerance_used=tolerance(q, plug_in, self.cfg), query_id=q.id)
+        return OracleResponse(value=float(np.add.reduce(values) / self.data.n), query_id=q.id)
 
 
 class WorstCaseOracle(OraclePolicy):
     """Maximally biased conforming oracle: ``E[q] + sign * tau_q``.
 
-    ``sign_policy`` is ``"+"``, ``"-"``, or ``"alternating"`` (sign flips per
-    issued query). Requires analytic expectations for every query.
+    ``sign_policy`` is ``"+"`` or ``"-"``. Requires analytic expectations
+    for every query.
     """
 
     def __init__(self, theta: ModelParams, cfg: OracleConfig, sign_policy: str = "+") -> None:
         super().__init__(cfg)
-        if sign_policy not in ("+", "-", "alternating"):
-            raise ValidationError(f"sign_policy must be '+', '-', or 'alternating', got {sign_policy!r}")
+        if sign_policy not in ("+", "-"):
+            raise ValidationError(f"sign_policy must be '+' or '-', got {sign_policy!r}")
         self.theta = theta
         self.sign_policy = sign_policy
-
-    def _sign(self) -> float:
-        if self.sign_policy == "+":
-            return 1.0
-        if self.sign_policy == "-":
-            return -1.0
-        return 1.0 if (self._issued % 2) == 1 else -1.0  # _issued already incremented
 
     def _respond(self, q: BoundedQuery) -> OracleResponse:
         expectation = analytic_expectation(q, self.theta)
         tau = tolerance(q, expectation, self.cfg)
-        return OracleResponse(value=expectation + self._sign() * tau, tolerance_used=tau, query_id=q.id)
+        value = expectation + tau if self.sign_policy == "+" else expectation - tau
+        return OracleResponse(value=value, query_id=q.id)
 
 
 class AdversarialPairOracle:
@@ -491,7 +480,8 @@ class AdversarialPairOracle:
         # keyed by what a record is computed from, not by the query's id,
         # so a reused id with another truncation gets its own record
         self._records: dict[tuple[TruncatedQuerySpec, float], GapRecord] = {}
-        self._null_values: dict[tuple[TruncatedQuerySpec, float], float] = {}
+        # (answer under model 0, answer under model 1) for each record
+        self._answers: dict[tuple[TruncatedQuerySpec, float], tuple[float, float]] = {}
 
     def assess(self, q: BoundedQuery) -> GapRecord:
         key = (q.analytic, q.bound_M)
@@ -504,7 +494,7 @@ class AdversarialPairOracle:
         gap = abs(e1 - e0)
         record = GapRecord(query_id=q.id, gap=gap, tolerance=tau, flagged=gap > tau)
         self._records[key] = record
-        self._null_values[key] = e0
+        self._answers[key] = (e0, e1 if record.flagged else e0)
         return record
 
     @property
@@ -524,10 +514,6 @@ class AdversarialPairOracle:
             self.true_model = true_model
 
         def _respond(self, q: BoundedQuery) -> OracleResponse:
-            record = self.parent.assess(q)
-            if record.flagged:
-                theta = self.parent.theta1 if self.true_model == 1 else self.parent.theta0
-                value = analytic_expectation(q, theta)
-            else:
-                value = self.parent._null_values[(q.analytic, q.bound_M)]
-            return OracleResponse(value=value, tolerance_used=record.tolerance, query_id=q.id)
+            self.parent.assess(q)
+            value = self.parent._answers[(q.analytic, q.bound_M)][self.true_model]
+            return OracleResponse(value=value, query_id=q.id)

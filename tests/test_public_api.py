@@ -23,12 +23,27 @@ def test_package_imports():
     assert importlib.import_module("wslab").__version__
 
 
-def test_cli_import_does_not_load_scipy():
-    # scipy's import alone costs about twice the rest of the CLI's start-up
+def _fresh_interpreter(code: str) -> str:
+    """Standard output of ``code`` run by a new Python process that imports this wslab."""
     src = str(Path(wslab.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, wslab.cli; print('scipy' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy's import alone costs about twice the rest of the CLI's start-up
+    assert _fresh_interpreter("import sys, wslab.cli; print('scipy' in sys.modules)") == "False"
+
+
+def test_package_reexports_nothing():
+    # each public name is imported from its module; a fresh interpreter sees
+    # only the submodules on the package itself
+    code = (
+        "import inspect, wslab; "
+        "print(sorted(n for n, v in vars(wslab).items() "
+        "if not n.startswith('_') and not inspect.ismodule(v)))"
+    )
+    assert _fresh_interpreter(code) == "[]"

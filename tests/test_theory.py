@@ -178,7 +178,7 @@ def test_chi_square_monotone_in_each_argument():
 
 
 def test_overlap_weights_log_space_path_matches_exact():
-    # d > 60 switches to lgamma-based weights; compare with exact ratios
+    # d > 60 too: the weights are the exact ratios
     import math as _m
 
     d, s = 70, 3
