@@ -29,7 +29,7 @@ from .experiments import (
     sweep_rows_to_csv,
 )
 from .heatmap import render_heatmap_svg
-from .model import sigma_from_spec
+from .model import KnownCovariance, sigma_from_spec
 from .theory import info_rate, tractable_rate
 from .verify import SUITES, checks_to_csv, run_suites
 
@@ -93,7 +93,10 @@ def _gamma_grid(cfg: dict) -> list[float]:
     if cfg.get("gamma") is not None:
         return _as_grid(cfg["gamma"], "gamma")
     if cfg.get("beta") is not None:
-        s = int(cfg["s"])
+        d, s = int(cfg["d"]), int(cfg["s"])
+        # s * beta^2 is the separation of the sweep's alternative only when Sigma is I
+        if not KnownCovariance.of(sigma_from_spec(cfg["sigma"], d), d).is_identity:
+            raise ConfigError('a beta grid needs sigma "identity"; give a gamma grid for another covariance')
         return [s * float(b) ** 2 for b in _as_grid(cfg["beta"], "beta")]
     raise ConfigError("config needs a gamma grid or a beta grid")
 

@@ -46,18 +46,11 @@ class TestResult:
 
     statistic: float
     threshold: float
-    reject: bool
     detail: object = None
 
-    def __post_init__(self) -> None:
-        if self.reject != (self.statistic >= self.threshold):
-            raise ValidationError("inconsistent TestResult: reject must equal statistic >= threshold")
-
-    @classmethod
-    def decide(cls, statistic: float, threshold: float, detail: object = None) -> "TestResult":
-        statistic = float(statistic)
-        threshold = float(threshold)
-        return cls(statistic, threshold, statistic >= threshold, detail)
+    @property
+    def reject(self) -> bool:
+        return self.statistic >= self.threshold
 
 
 @dataclass(frozen=True)
@@ -212,23 +205,20 @@ def run_exhaustive_test(
     data: Dataset,
     sigma: np.ndarray | KnownCovariance,
     s: int,
-    thresholds: Thresholds | None = None,
+    thresholds: Thresholds,
 ) -> ExhaustiveResult:
     """Run both exhaustive statistics on one dataset and combine by disjunction.
 
-    ``thresholds`` defaults to :func:`default_thresholds` evaluated at the
-    realized pair count ``n // 2``; pass them explicitly to pin another
-    convention.
+    :func:`default_thresholds` at the realized pair count ``n // 2`` gives
+    the conventional ``thresholds``.
     """
     cov = KnownCovariance.of(sigma, data.d)
     w = whitened_pair_differences(data, cov)
     u = between_class_differences(data)
-    if thresholds is None:
-        thresholds = default_thresholds(data.d, s, w.shape[0], cov)
     stat1, support = sparse_variance_statistic(w, cov, s)
     stat2, coord, sign = peak_coordinate_statistic(u, cov)
-    level1, level2 = thresholds.levels
+    level1, level2 = (float(level) for level in thresholds.levels)
     return ExhaustiveResult(
-        variance_search=TestResult.decide(stat1, level1, detail={"support": support}),
-        peak_coordinate=TestResult.decide(stat2, level2, detail={"coordinate": coord, "sign": sign}),
+        variance_search=TestResult(stat1, level1, detail={"support": support}),
+        peak_coordinate=TestResult(stat2, level2, detail={"coordinate": coord, "sign": sign}),
     )

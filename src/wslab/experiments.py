@@ -7,8 +7,8 @@ Conventions
   default thresholds are evaluated at that pair count; the query-based test
   runs its oracle over all ``n`` samples.
 * Every random draw comes from a substream derived from the grid seed and a
-  structural key ``(purpose, cell, trial, arm)``, so results do not depend
-  on execution order.
+  structural key ``(purpose, cell, test, trial, arm)``, so results do not
+  depend on execution order or on which other tests run.
 * Risk at a grid point is evaluated at a representative model pair (a null
   with a configurable mean and one seeded sparse alternative whose
   separation equals ``gamma`` exactly; for identity covariance its
@@ -84,7 +84,7 @@ class RiskEstimate:
 
 def _risk(null: Sequence, alt: Sequence, levels: Sequence[float], trials: int) -> RiskEstimate:
     """Error rates from statistic rows, one row per draw under each model: a
-    row rejects when any statistic is ``>=`` its level, as in :meth:`TestResult.decide`."""
+    row rejects when any statistic is ``>=`` its level, as in :attr:`TestResult.reject`."""
     level = np.asarray(levels, dtype=float)
 
     def rejected(rows: Sequence) -> int:
@@ -247,6 +247,8 @@ def sweep_phase_diagram(
     for name in tests:
         if name not in SWEEP_TESTS:
             raise ValidationError(f"unknown test {name!r}; choose from {SWEEP_TESTS}")
+    if len(set(tests)) != len(tests):
+        raise ValidationError(f"tests must not repeat, got {tuple(tests)}")
     if threads < 1:
         raise ValidationError(f"threads must be positive, got {threads}")
     cov = KnownCovariance.of(np.eye(grid.d) if sigma is None else sigma, grid.d)
@@ -275,8 +277,8 @@ def sweep_phase_diagram(
     for ia, alpha in enumerate(grid.alpha_values):
         for ig, gamma in enumerate(grid.gamma_values):
             theta0, theta1, beta = _cell_models(grid, ia, ig, null_mu_scale, cov)
-            for test_index, name in enumerate(tests):
-                est = arms[name](theta0, theta1, (ia, ig, test_index))
+            for name in tests:
+                est = arms[name](theta0, theta1, (ia, ig, SWEEP_TESTS.index(name)))
                 rows.append(
                     SweepRow(
                         alpha=alpha,
@@ -322,11 +324,6 @@ def sweep_rows_to_csv(rows: Sequence[SweepRow], header_lines: Sequence[str] = ()
 class OracleDemoReport:
     """Outcome of the pair-indistinguishability demonstration."""
 
-    d: int
-    s: int
-    n: int
-    alpha: float
-    beta: float
     records: tuple[GapRecord, ...]
     transcripts_identical: bool
     reject_null: bool
@@ -369,17 +366,11 @@ def oracle_demo(
     ocfg = default_oracle_config(cfg)
     adv = AdversarialPairOracle(theta0, theta1, ocfg)
     queries = build_queries(cfg, eye)
-    for q in queries:
-        adv.assess(q)
+    # the model-0 transcript assesses every query, in issue order
     transcript0 = adv.policy(0).query_all(queries)
     transcript1 = adv.policy(1).query_all(queries)
     identical = all(a.value == b.value for a, b in zip(transcript0, transcript1))
     return OracleDemoReport(
-        d=d,
-        s=s,
-        n=n,
-        alpha=alpha,
-        beta=beta,
         records=tuple(adv.report),
         transcripts_identical=identical,
         reject_null=decisions_from_responses(transcript0, cfg).reject,

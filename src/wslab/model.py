@@ -186,10 +186,6 @@ class AltSpec:
         if not (self.beta > 0.0) or not np.isfinite(self.beta):
             raise ValidationError(f"beta must be a positive real, got {self.beta!r}")
 
-    @property
-    def s(self) -> int:
-        return len(self.support)
-
     def signal_vector(self) -> np.ndarray:
         v = np.zeros(self.d)
         v[list(self.support)] = self.beta

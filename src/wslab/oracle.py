@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Literal, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .errors import (
 from .model import Dataset, ModelParams
 
 __all__ = [
-    "QueryKind",
     "TruncatedQuerySpec",
     "BoundedQuery",
     "CoordinateQueryFamily",
@@ -61,7 +60,6 @@ __all__ = [
     "AdversarialPairOracle",
 ]
 
-QueryKind = Literal["coordinate_mean", "coordinate_second_moment", "signed_label_mean"]
 _KINDS = ("coordinate_mean", "coordinate_second_moment", "signed_label_mean")
 
 # float64 elements in one column block of the family's single pass: 1 MiB
@@ -81,7 +79,7 @@ class TruncatedQuerySpec:
     standardization when the query was built.
     """
 
-    kind: QueryKind
+    kind: str
     j: int
     trunc: float
     sigma_jj: float
@@ -119,7 +117,7 @@ class BoundedQuery:
 
 
 def _truncated_statistic(
-    kind: QueryKind, labels: np.ndarray, z: np.ndarray, trunc: float
+    kind: str, labels: np.ndarray, z: np.ndarray, trunc: float
 ) -> np.ndarray:
     """Per-sample values of a coordinate query on standardized covariates ``z``.
 
@@ -253,7 +251,10 @@ class GapRecord:
     query_id: str
     gap: float
     tolerance: float
-    flagged: bool
+
+    @property
+    def flagged(self) -> bool:
+        return self.gap > self.tolerance
 
 
 def tolerance(q: BoundedQuery, expectation: float, cfg: OracleConfig) -> float:
@@ -386,7 +387,7 @@ class OraclePolicy:
                 f"query budget of {self.cfg.budget_T} exhausted; refusing query {q.id!r}"
             )
         self._issued += 1
-        return self._respond(q)
+        return OracleResponse(value=self._respond(q), query_id=q.id)
 
     def query_all(self, queries: Sequence[BoundedQuery]) -> list[OracleResponse]:
         """Issue ``queries`` in order, one budget unit each.
@@ -396,7 +397,7 @@ class OraclePolicy:
         """
         return [self.query(q) for q in queries]
 
-    def _respond(self, q: BoundedQuery) -> OracleResponse:  # pragma: no cover - abstract
+    def _respond(self, q: BoundedQuery) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
 
 
@@ -417,7 +418,6 @@ class EmpiricalOracle(OraclePolicy):
     def __init__(self, data: Dataset, cfg: OracleConfig) -> None:
         super().__init__(cfg)
         self.data = data
-        self._labels = data.labels
         self._columns: np.ndarray | None = None
 
     def query_all(self, queries: Sequence[BoundedQuery]) -> list[OracleResponse]:
@@ -425,19 +425,19 @@ class EmpiricalOracle(OraclePolicy):
         if not isinstance(queries, CoordinateQueryFamily) or len(queries) > remaining:
             return super().query_all(queries)
         self._issued += len(queries)
-        values = queries.column_means(self._labels, self.data.covariates)
+        values = queries.column_means(self.data.labels, self.data.covariates)
         return [OracleResponse(value=v, query_id=q.id) for q, v in zip(queries, values.tolist())]
 
-    def _respond(self, q: BoundedQuery) -> OracleResponse:
+    def _respond(self, q: BoundedQuery) -> float:
         if self._columns is None:
             self._columns = np.asfortranarray(self.data.covariates)
-        values = np.asarray(q.evaluate(self._labels, self._columns), dtype=float)
+        values = np.asarray(q.evaluate(self.data.labels, self._columns), dtype=float)
         if values.shape != (self.data.n,):
             raise ValidationError(
                 f"query {q.id!r} returned shape {values.shape}, expected ({self.data.n},)"
             )
         # values.mean() divides this same sum by n, with more per-call overhead
-        return OracleResponse(value=float(np.add.reduce(values) / self.data.n), query_id=q.id)
+        return float(np.add.reduce(values) / self.data.n)
 
 
 class WorstCaseOracle(OraclePolicy):
@@ -454,11 +454,10 @@ class WorstCaseOracle(OraclePolicy):
         self.theta = theta
         self.sign_policy = sign_policy
 
-    def _respond(self, q: BoundedQuery) -> OracleResponse:
+    def _respond(self, q: BoundedQuery) -> float:
         expectation = analytic_expectation(q, self.theta)
         tau = tolerance(q, expectation, self.cfg)
-        value = expectation + tau if self.sign_policy == "+" else expectation - tau
-        return OracleResponse(value=value, query_id=q.id)
+        return expectation + tau if self.sign_policy == "+" else expectation - tau
 
 
 class AdversarialPairOracle:
@@ -477,30 +476,24 @@ class AdversarialPairOracle:
         self.theta0 = theta0
         self.theta1 = theta1
         self.cfg = cfg
+        # (record, answer under model 0, answer under model 1) per query,
         # keyed by what a record is computed from, not by the query's id,
         # so a reused id with another truncation gets its own record
-        self._records: dict[tuple[TruncatedQuerySpec, float], GapRecord] = {}
-        # (answer under model 0, answer under model 1) for each record
-        self._answers: dict[tuple[TruncatedQuerySpec, float], tuple[float, float]] = {}
+        self._table: dict[tuple[TruncatedQuerySpec, float], tuple[GapRecord, float, float]] = {}
 
     def assess(self, q: BoundedQuery) -> GapRecord:
         key = (q.analytic, q.bound_M)
-        record = self._records.get(key)
-        if record is not None:
-            return record
-        e0 = analytic_expectation(q, self.theta0)
-        e1 = analytic_expectation(q, self.theta1)
-        tau = tolerance(q, e1, self.cfg)
-        gap = abs(e1 - e0)
-        record = GapRecord(query_id=q.id, gap=gap, tolerance=tau, flagged=gap > tau)
-        self._records[key] = record
-        self._answers[key] = (e0, e1 if record.flagged else e0)
-        return record
+        if key not in self._table:
+            e0 = analytic_expectation(q, self.theta0)
+            e1 = analytic_expectation(q, self.theta1)
+            record = GapRecord(query_id=q.id, gap=abs(e1 - e0), tolerance=tolerance(q, e1, self.cfg))
+            self._table[key] = (record, e0, e1 if record.flagged else e0)
+        return self._table[key][0]
 
     @property
     def report(self) -> list[GapRecord]:
         """Every assessed query's (gap, tolerance, flagged), in assessment order."""
-        return list(self._records.values())
+        return [record for record, _, _ in self._table.values()]
 
     def policy(self, true_model: int) -> "AdversarialPairOracle._View":
         if true_model not in (0, 1):
@@ -513,7 +506,6 @@ class AdversarialPairOracle:
             self.parent = parent
             self.true_model = true_model
 
-        def _respond(self, q: BoundedQuery) -> OracleResponse:
+        def _respond(self, q: BoundedQuery) -> float:
             self.parent.assess(q)
-            value = self.parent._answers[(q.analytic, q.bound_M)][self.true_model]
-            return OracleResponse(value=value, query_id=q.id)
+            return self.parent._table[(q.analytic, q.bound_M)][1 + self.true_model]

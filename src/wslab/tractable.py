@@ -36,8 +36,6 @@ __all__ = [
     "TractableResult",
     "build_queries",
     "default_oracle_config",
-    "diagonal_threshold_test",
-    "signed_mean_test",
     "run_tractable_test",
     "decisions_from_responses",
 ]
@@ -109,51 +107,18 @@ def build_queries(cfg: TractableConfig, sigma: np.ndarray | KnownCovariance) -> 
     return CoordinateQueryFamily(diag, t, bound_mean=t, bound_var=cfg.R**2 * math.log(cfg.d))
 
 
-def default_oracle_config(cfg: TractableConfig, budget_T: int | None = None) -> OracleConfig:
+def default_oracle_config(cfg: TractableConfig) -> OracleConfig:
     """Oracle configuration matched to the ``4d`` query family.
 
-    Capacity is ``log(4d)`` (log-cardinality of the family); the budget
-    defaults to exactly one pass over the family.
+    Capacity is ``log(4d)`` (log-cardinality of the family); the budget is
+    exactly one pass over the family.
     """
     return OracleConfig(
         n=cfg.n,
         xi=cfg.xi,
         eta=math.log(4 * cfg.d),
-        budget_T=4 * cfg.d if budget_T is None else budget_T,
+        budget_T=4 * cfg.d,
     )
-
-
-def diagonal_threshold_test(
-    second_moment_responses: np.ndarray,
-    mean_responses: np.ndarray,
-    cfg: TractableConfig,
-) -> TestResult:
-    """Variance-scan decision from one response pair per coordinate.
-
-    Statistic ``max_j (z_var_j - z_mean_j^2)`` against ``cfg.levels[0]``;
-    the witnessing coordinate is recorded in ``detail``.
-    """
-    zv = np.asarray(second_moment_responses, dtype=float)
-    zm = np.asarray(mean_responses, dtype=float)
-    if zv.shape != (cfg.d,) or zm.shape != (cfg.d,):
-        raise ValidationError(f"expected {cfg.d} responses per family, got {zv.shape} and {zm.shape}")
-    proxy = zv - zm * zm
-    j = int(np.argmax(proxy))
-    return TestResult.decide(float(proxy[j]), cfg.levels[0], detail={"coordinate": j})
-
-
-def signed_mean_test(signed_responses: np.ndarray, cfg: TractableConfig) -> TestResult:
-    """Signed coordinate decision: ``max`` response against ``cfg.levels[1]``.
-
-    ``detail`` records the witnessing direction as ``(sign, coordinate)``
-    under the fixed issue order (all ``+`` first).
-    """
-    zs = np.asarray(signed_responses, dtype=float)
-    if zs.shape != (2 * cfg.d,):
-        raise ValidationError(f"expected {2 * cfg.d} signed responses, got {zs.shape}")
-    idx = int(np.argmax(zs))
-    sign, j = (1, idx) if idx < cfg.d else (-1, idx - cfg.d)
-    return TestResult.decide(float(zs[idx]), cfg.levels[1], detail={"sign": sign, "coordinate": j})
 
 
 @dataclass(frozen=True)
@@ -172,14 +137,25 @@ class TractableResult:
 def decisions_from_responses(
     responses: list[OracleResponse] | tuple[OracleResponse, ...], cfg: TractableConfig
 ) -> TractableResult:
-    """Decide from a recorded transcript (``4d`` responses in issue order)."""
+    """Decide from a recorded transcript (``4d`` responses in issue order).
+
+    The statistics are ``max_j (z_var_j - z_mean_j^2)``, witnessed by a
+    coordinate, and the largest signed-label response, witnessed by
+    ``(sign, coordinate)`` with all ``+`` directions first.
+    """
     if len(responses) != 4 * cfg.d:
         raise ValidationError(f"expected {4 * cfg.d} responses, got {len(responses)}")
     values = np.array([r.value for r in responses], dtype=float)
     d = cfg.d
+    level_var, level_mean = (float(level) for level in cfg.levels)
+    proxy = values[d : 2 * d] - values[:d] * values[:d]
+    j = int(np.argmax(proxy))
+    signed = values[2 * d :]
+    idx = int(np.argmax(signed))
+    sign, k = (1, idx) if idx < d else (-1, idx - d)
     return TractableResult(
-        diagonal=diagonal_threshold_test(values[d : 2 * d], values[:d], cfg),
-        signed=signed_mean_test(values[2 * d :], cfg),
+        diagonal=TestResult(float(proxy[j]), level_var, detail={"coordinate": j}),
+        signed=TestResult(float(signed[idx]), level_mean, detail={"sign": sign, "coordinate": k}),
         transcript=tuple(responses),
     )
 

@@ -147,6 +147,15 @@ def test_sweep_test_filter(tmp_path):
     assert all(",tractable_honest," in line for line in body[1:])
 
 
+def test_sweep_repeated_test_exits_2(tmp_path, capsys):
+    cfg = _sweep_config(tmp_path)
+    out = tmp_path / "r.csv"
+    code = cli.main(["sweep", "--config", cfg, "--out", str(out), "--tests", "exhaustive,exhaustive"])
+    assert code == 2
+    assert "repeat" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_emits_wellformed_svg(tmp_path):
     cfg = _sweep_config(tmp_path)
     svg = tmp_path / "heat.svg"
@@ -296,3 +305,14 @@ def test_beta_grid_converts_to_gamma(tmp_path):
     row = [l for l in out.read_text().split("\n") if l and not l.startswith(("#", "alpha"))][0]
     gamma = float(row.split(",")[1])
     assert gamma == pytest.approx(2 * 0.3**2, rel=1e-12)
+
+
+def test_beta_grid_with_non_identity_sigma_exits_2(tmp_path, capsys):
+    # s * beta^2 is the separation only for identity Sigma, so an AR(1)
+    # Sigma would turn one beta into another per-coordinate signal
+    sigma = [[0.5 ** abs(i - j) for j in range(6)] for i in range(6)]
+    cfg = _sweep_config(tmp_path, d=6, s=2, gamma=None, beta=[0.3], sigma=sigma, trials=2)
+    out = tmp_path / "beta.csv"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert "gamma grid" in capsys.readouterr().err
+    assert not out.exists()

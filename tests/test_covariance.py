@@ -3,6 +3,7 @@ import pytest
 
 from wslab import errors, experiments, model
 from wslab.exhaustive import (
+    Thresholds,
     default_thresholds,
     peak_coordinate_statistic,
     run_exhaustive_test,
@@ -38,7 +39,7 @@ ENTRY_POINTS = {
         _data().covariates, sigma
     ),
     "default_thresholds": lambda sigma: default_thresholds(D, 1, N, sigma),
-    "run_exhaustive_test": lambda sigma: run_exhaustive_test(_data(), sigma, 1),
+    "run_exhaustive_test": lambda sigma: run_exhaustive_test(_data(), sigma, 1, Thresholds(1.0, 1.0)),
     "build_queries": lambda sigma: build_queries(_CFG, sigma),
     "run_tractable_test": lambda sigma: run_tractable_test(
         EmpiricalOracle(_data(), default_oracle_config(_CFG)), _CFG, sigma

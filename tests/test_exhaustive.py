@@ -214,10 +214,8 @@ def test_support_budget_error_names_requirement():
 
 
 def test_test_result_consistency_enforced():
-    with pytest.raises(errors.ValidationError):
-        exhaustive.TestResult(statistic=1.0, threshold=2.0, reject=True)
-    r = exhaustive.TestResult.decide(2.0, 2.0)
-    assert r.reject  # inclusive boundary
+    assert exhaustive.TestResult(2.0, 2.0).reject  # inclusive boundary
+    assert not exhaustive.TestResult(1.0, 2.0).reject
 
 
 def _null_dataset(d: int, n_samples: int, seed: int) -> model.Dataset:

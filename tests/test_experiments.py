@@ -198,6 +198,23 @@ def test_sweep_test_filter_controls_rows():
         experiments.sweep_phase_diagram(grid, tests=("nonsense",))
 
 
+def test_test_rows_do_not_depend_on_the_other_tests():
+    # each test's trials are keyed by its name, not by its place in ``tests``
+    grid = _grid([0.5, 1.0], [0.5, 2.0], trials=20, d=10, s=2, n=400, seed=5)
+    full = experiments.sweep_phase_diagram(grid)
+    reverse = experiments.sweep_phase_diagram(grid, tests=experiments.SWEEP_TESTS[::-1])
+    for name in experiments.SWEEP_TESTS:
+        alone = experiments.sweep_phase_diagram(grid, tests=(name,))
+        assert [r for r in full if r.test == name] == alone
+        assert [r for r in reverse if r.test == name] == alone
+
+
+def test_sweep_rejects_a_repeated_test():
+    grid = _grid([0.5], [0.4], trials=2)
+    with pytest.raises(errors.ValidationError, match="repeat"):
+        experiments.sweep_phase_diagram(grid, tests=("exhaustive", "exhaustive"))
+
+
 def test_label_blind_power_at_zero_supervision():
     # with alpha = 0 the label-consuming coordinate scan has power equal to
     # its level: labels carry nothing

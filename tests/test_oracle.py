@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -382,7 +383,7 @@ def test_family_budget_is_counted_per_query():
     full.query_all(queries)
     assert full.queries_issued == 4 * d
 
-    short = oracle.EmpiricalOracle(data, default_oracle_config(cfg, budget_T=4 * d - 1))
+    short = oracle.EmpiricalOracle(data, dataclasses.replace(default_oracle_config(cfg), budget_T=4 * d - 1))
     with pytest.raises(errors.BudgetExceededError, match=r"signed_mean\[-4\]"):
         short.query_all(queries)
     assert short.queries_issued == 4 * d - 1

@@ -73,16 +73,24 @@ def test_nonpositive_diagonal_rejected():
         tractable.build_queries(cfg, np.diag([1.0, 0.0]))
 
 
+def _decisions(cfg, values):
+    """Decide from ``4d`` response values in issue order: ``d`` means, ``d``
+    second moments, then ``2d`` signed means (all ``+`` first)."""
+    queries = tractable.build_queries(cfg, np.eye(cfg.d))
+    transcript = [oracle.OracleResponse(float(v), q.id) for q, v in zip(queries, values)]
+    return tractable.decisions_from_responses(transcript, cfg)
+
+
 def test_diagonal_scan_all_zero_accepts():
     cfg = _cfg(d=4)
-    res = tractable.diagonal_threshold_test(np.zeros(4), np.zeros(4), cfg)
+    res = _decisions(cfg, np.zeros(16)).diagonal
     assert not res.reject and res.statistic == 0.0
 
 
 def test_diagonal_scan_witness():
     cfg = _cfg(d=4, n=10)
     zv = np.array([0.0, 0.0, 0.5, 0.0])
-    res = tractable.diagonal_threshold_test(zv, np.zeros(4), cfg)
+    res = _decisions(cfg, np.concatenate([np.zeros(4), zv, np.zeros(8)])).diagonal
     assert res.detail["coordinate"] == 2
     assert res.statistic == pytest.approx(0.5)
 
@@ -91,14 +99,14 @@ def test_signed_scan_inclusive_boundary():
     cfg = _cfg(d=3)
     z = np.zeros(6)
     z[4] = 2.0 * cfg.tau_mean  # -e_1 direction exactly at threshold
-    res = tractable.signed_mean_test(z, cfg)
+    res = _decisions(cfg, np.concatenate([np.zeros(6), z])).signed
     assert res.reject
     assert res.detail == {"sign": -1, "coordinate": 1}
 
 
 def test_signed_scan_all_zero_accepts():
     cfg = _cfg(d=3)
-    assert not tractable.signed_mean_test(np.zeros(6), cfg).reject
+    assert not _decisions(cfg, np.zeros(12)).signed.reject
 
 
 def _exact_responses(cfg, theta):
@@ -115,7 +123,7 @@ def test_exact_response_variance_gap_near_quarter_signal():
         model.AltSpec(support=(0,), beta=beta, d=d), alpha=0.3
     )
     z = _exact_responses(cfg, theta)
-    res = tractable.diagonal_threshold_test(z[d : 2 * d], z[:d], cfg)
+    res = _decisions(cfg, z).diagonal
     assert abs(res.statistic - beta * beta / 4.0) <= beta * beta / 16.0
     assert res.detail["coordinate"] == 0
 
@@ -128,7 +136,7 @@ def test_exact_response_signed_peak_is_half_alpha_signal():
         model.AltSpec(support=(3,), beta=beta, d=d), alpha=alpha
     )
     z = _exact_responses(cfg, theta)
-    res = tractable.signed_mean_test(z[2 * d :], cfg)
+    res = _decisions(cfg, z).signed
     assert res.statistic == pytest.approx(alpha * beta / 2.0, rel=1e-9)
     assert res.detail == {"sign": 1, "coordinate": 3}
 
@@ -139,7 +147,7 @@ def test_null_truncation_bias_below_variance_threshold():
     cfg = _cfg(d=d, n=n)
     theta = model.ModelParams(np.ones(d), np.ones(d), np.eye(d), 0.5)
     z = _exact_responses(cfg, theta)
-    res = tractable.diagonal_threshold_test(z[d : 2 * d], z[:d], cfg)
+    res = _decisions(cfg, z).diagonal
     assert res.statistic <= cfg.C * cfg.tau_var
     assert not res.reject
 
@@ -186,9 +194,7 @@ def test_decisions_monotone_in_responses(data):
     z_up = z + np.array(bumps)
 
     def decide(vals):
-        diag = tractable.diagonal_threshold_test(vals[d : 2 * d], np.zeros(d), cfg)
-        signed = tractable.signed_mean_test(vals[2 * d :], cfg)
-        return diag.reject or signed.reject
+        return _decisions(cfg, np.concatenate([np.zeros(d), vals[d:]])).reject
 
     # hold the mean responses fixed at zero so the variance proxy is monotone
     if decide(z):
