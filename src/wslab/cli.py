@@ -101,18 +101,17 @@ def _gamma_grid(cfg: dict) -> list[float]:
     raise ConfigError("config needs a gamma grid or a beta grid")
 
 
-# delivery-only settings: they never influence computed values, so leaving
-# them out of the header keeps equal runs byte-identical
-_NON_SEMANTIC_KEYS = {"out", "svg", "threads"}
-
-# the settings each of these commands reads; sweep and risk echo every semantic key
+# the settings each command reads; delivery-only settings (out, svg, threads)
+# never influence computed values, so leaving them out keeps equal runs
+# byte-identical
+_SWEEP_KEYS = ("C", "C0", "R", "alpha", "beta", "d", "gamma", "n", "s", "seed", "sigma", "tests", "trials", "xi")
 _HEADER_KEYS = {"rates": ("alpha", "d", "n", "s"), "verify": ("seed", "suites"),
-                "oracle-demo": ("C", "R", "alpha", "beta", "d", "n", "s", "xi")}
+                "oracle-demo": ("C", "R", "alpha", "beta", "d", "n", "s", "xi"),
+                "sweep": _SWEEP_KEYS, "risk": _SWEEP_KEYS}
 
 
 def _header(command: str, cfg: dict) -> list[str]:
-    keys = _HEADER_KEYS.get(command, cfg.keys())
-    relevant = {k: cfg[k] for k in keys if cfg[k] is not None and k not in _NON_SEMANTIC_KEYS}
+    relevant = {k: cfg[k] for k in _HEADER_KEYS[command] if cfg[k] is not None}
     return [f"command: {command}", f"config: {json.dumps(relevant, sort_keys=True)}"]
 
 

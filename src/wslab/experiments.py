@@ -7,8 +7,12 @@ Conventions
   default thresholds are evaluated at that pair count; the query-based test
   runs its oracle over all ``n`` samples.
 * Every random draw comes from a substream derived from the grid seed and a
-  structural key ``(purpose, cell, test, trial, arm)``, so results do not
-  depend on execution order or on which other tests run.
+  structural key: ``(null, trial)`` for the null datasets, which the sweep
+  draws once and shares across cells (with ``mu0 = mu1`` the label is a fair
+  coin independent of ``X`` at every alpha), and ``(alternative, cell,
+  trial)`` for a cell's alternative datasets. The keys carry no test index:
+  every Monte Carlo test sees the same datasets, so results do not depend on
+  execution order or on which other tests run.
 * Risk at a grid point is evaluated at a representative model pair (a null
   with a configurable mean and one seeded sparse alternative whose
   separation equals ``gamma`` exactly; for identity covariance its
@@ -201,6 +205,7 @@ class SweepRow:
 
 _SUPPORT_KEY = 101
 _TRIALS_KEY = 202
+_NULL_KEY = 303
 
 
 def _cell_models(
@@ -240,10 +245,15 @@ def sweep_phase_diagram(
     all-ones vector (zero by default; a positive value stresses truncation
     bias in the query family). ``sigma`` is the known covariance (identity
     by default), validated and factored once for the whole sweep; its
-    condition number enters the exhaustive thresholds. Rows come back in
-    (alpha, gamma, test) order. The sweep runs serially; ``threads`` is
-    validated but has no effect.
+    condition number enters the exhaustive thresholds. The Monte Carlo
+    tests share their datasets: ``trials`` null datasets for the whole sweep
+    and ``trials`` alternative datasets per cell, so each test's type-I is
+    one estimate repeated in every row. Rows come back in (alpha, gamma,
+    test) order. The sweep runs serially; ``threads`` is validated but has
+    no effect.
     """
+    if not tests:
+        raise ValidationError("tests must name at least one test")
     for name in tests:
         if name not in SWEEP_TESTS:
             raise ValidationError(f"unknown test {name!r}; choose from {SWEEP_TESTS}")
@@ -256,29 +266,39 @@ def sweep_phase_diagram(
     tcfg = TractableConfig(d=grid.d, n=grid.n, R=R, C=C, xi=xi)
     ocfg = default_oracle_config(tcfg)
     queried, query_levels = _query_test(tcfg, cov)
-
-    def sampled(test: tuple[Callable[[Dataset], Sequence[float]], Sequence[float]]) -> Callable:
-        return lambda theta0, theta1, key: estimate_risk(
-            test, theta0, theta1, grid.n, grid.trials, spawn_rng(grid.seed, _TRIALS_KEY, *key)
-        )
-
-    def pair_oracle(theta0: ModelParams, theta1: ModelParams, key: tuple[int, ...]) -> RiskEstimate:
-        # analytic expectations and no draws: one row per arm settles every trial
-        adv = AdversarialPairOracle(theta0, theta1, ocfg)
-        return _risk([queried(adv.policy(0))], [queried(adv.policy(1))], query_levels, grid.trials)
-
-    arms = {
-        "exhaustive": sampled(exhaustive_procedure(cov, grid.s, thresholds)),
-        "tractable_honest": sampled((lambda data: queried(EmpiricalOracle(data, ocfg)), query_levels)),
-        "tractable_adversarial": pair_oracle,
+    monte_carlo = {
+        "exhaustive": exhaustive_procedure(cov, grid.s, thresholds),
+        "tractable_honest": (lambda data: queried(EmpiricalOracle(data, ocfg)), query_levels),
     }
+    sampled = {name: monte_carlo[name] for name in tests if name in monte_carlo}
+
+    def statistic_rows(theta: ModelParams, *key: int) -> dict[str, list]:
+        # one dataset per trial, handed to every sampled test and then dropped
+        if not sampled:
+            return {}
+        stats: dict[str, list] = {name: [] for name in sampled}
+        for trial in range(grid.trials):
+            data = sample_dataset(theta, grid.n, spawn_rng(grid.seed, *key, trial))
+            for name, (statistics, _) in sampled.items():
+                stats[name].append(statistics(data))
+        return stats
+
+    # alpha = 1 draws the null's fair-coin label as the class coin itself
+    mu = np.full(grid.d, null_mu_scale)
+    null_rows = statistic_rows(ModelParams(mu0=mu, mu1=mu, sigma=cov, alpha=1.0), _NULL_KEY)
 
     rows: list[SweepRow] = []
     for ia, alpha in enumerate(grid.alpha_values):
         for ig, gamma in enumerate(grid.gamma_values):
             theta0, theta1, beta = _cell_models(grid, ia, ig, null_mu_scale, cov)
+            alt_rows = statistic_rows(theta1, _TRIALS_KEY, ia, ig)
             for name in tests:
-                est = arms[name](theta0, theta1, (ia, ig, SWEEP_TESTS.index(name)))
+                if name in sampled:
+                    est = _risk(null_rows[name], alt_rows[name], sampled[name][1], grid.trials)
+                else:
+                    # analytic expectations and no draws: one row per arm settles every trial
+                    adv = AdversarialPairOracle(theta0, theta1, ocfg)
+                    est = _risk([queried(adv.policy(0))], [queried(adv.policy(1))], query_levels, grid.trials)
                 rows.append(
                     SweepRow(
                         alpha=alpha,

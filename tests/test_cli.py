@@ -100,15 +100,16 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-# sha256 of the CSV below as written at the commit before the honest query
-# family was answered in one blocked pass; any change to a response's
+# sha256 of the CSV below as written when the sweep began drawing one null
+# sample per sweep and one dataset per (cell, trial), shared by the Monte Carlo
+# tests, and echoing only the settings it reads; any change to a response's
 # summation order or to a seed stream that flips a decision changes it
-_GOLDEN_SWEEP_SHA256 = "cf4e78a1f4b3fe28406efe464190b97abcb8dbed566c905f049dbe5f63d9db5f"
+_GOLDEN_SWEEP_SHA256 = "7c45d02ced22eb3b310b0a6649c6fc4e03c60fc66efe6768ad3b2d60e933dd1e"
 
 
 def test_sweep_csv_matches_golden(tmp_path):
     # AR(1) covariance and R=1 put several honest-query decisions near their
-    # thresholds: type-II rates 1, 1/3, 2/3 and 0 across the grid
+    # thresholds: type-II rates 1, 2/3, 0 and 0 across the grid
     sigma = [[0.5 ** abs(i - j) for j in range(10)] for i in range(10)]
     cfg = _sweep_config(
         tmp_path, d=10, s=2, n=2000, alpha=[0.5, 1.0], gamma=[1.0, 8.0], R=1.0, sigma=sigma,
@@ -154,6 +155,25 @@ def test_sweep_repeated_test_exits_2(tmp_path, capsys):
     assert code == 2
     assert "repeat" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_sweep_empty_test_list_exits_2(where, tmp_path, capsys):
+    cfg = _sweep_config(tmp_path, **({"tests": []} if where == "config" else {}))
+    out, svg = tmp_path / "e.csv", tmp_path / "e.svg"
+    argv = ["sweep", "--config", cfg, "--out", str(out), "--svg", str(svg)]
+    assert cli.main(argv + (["--tests", ","] if where == "flag" else [])) == 2
+    assert "at least one test" in capsys.readouterr().err
+    assert not out.exists() and not svg.exists()
+
+
+def test_sweep_header_ignores_settings_it_does_not_read(tmp_path):
+    # configs that differ only in a setting the sweep never reads write the same bytes
+    outs = [tmp_path / "s0.csv", tmp_path / "s1.csv"]
+    for out, suites in zip(outs, (["lemma2"], ["chisq", "tolerances"])):
+        assert cli.main(["sweep", "--config", _sweep_config(tmp_path, suites=suites), "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert "suites" not in outs[0].read_text()
 
 
 def test_sweep_emits_wellformed_svg(tmp_path):

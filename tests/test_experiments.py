@@ -137,23 +137,89 @@ def test_grid_rejects_alpha_outside_unit_interval(alphas):
         _grid(alphas, [0.1])
 
 
-def test_single_cell_sweep_matches_estimate_risk():
+def test_single_cell_sweep_matches_hand_built_row():
+    # the null datasets come from the sweep's null substream, the
+    # alternative ones from the cell's substream, one of each per trial
     grid = _grid([0.7], [0.5], trials=8)
     rows = experiments.sweep_phase_diagram(grid, tests=("exhaustive",))
     assert len(rows) == 1
     row = rows[0]
-    theta0, theta1, beta = experiments._cell_models(
-        grid, 0, 0, 0.0, model.KnownCovariance(np.eye(8))
+    eye = model.KnownCovariance(np.eye(8))
+    _, theta1, beta = experiments._cell_models(grid, 0, 0, 0.0, eye)
+    theta0 = model.ModelParams(np.zeros(8), np.zeros(8), eye, 1.0)
+    statistics, levels = experiments.exhaustive_procedure(
+        eye, 2, default_thresholds(8, 2, grid.n // 2, eye)
     )
-    proc = experiments.exhaustive_procedure(
-        np.eye(8), 2, default_thresholds(8, 2, grid.n // 2, np.eye(8))
-    )
-    est = experiments.estimate_risk(
-        proc, theta0, theta1, grid.n, grid.trials, spawn_rng(grid.seed, 202, 0, 0, 0)
-    )
-    assert row.type1 == est.type1
-    assert row.type2 == est.type2
+    null = [
+        statistics(model.sample_dataset(theta0, grid.n, spawn_rng(grid.seed, experiments._NULL_KEY, t)))
+        for t in range(grid.trials)
+    ]
+    alt = [
+        statistics(model.sample_dataset(theta1, grid.n, spawn_rng(grid.seed, experiments._TRIALS_KEY, 0, 0, t)))
+        for t in range(grid.trials)
+    ]
+    est = experiments._risk(null, alt, levels, grid.trials)
+    assert (row.type1, row.type2) == (est.type1, est.type2)
     assert row.beta == pytest.approx(math.sqrt(0.5 / 2))
+
+
+def _count_draws(monkeypatch):
+    drawn = []
+    real = experiments.sample_dataset
+
+    def sample(*args):
+        drawn.append(real(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(experiments, "sample_dataset", sample)
+    return drawn
+
+
+@pytest.mark.parametrize(
+    "tests, per_trial",
+    [
+        (experiments.SWEEP_TESTS, 1 + 6),
+        (("exhaustive",), 1 + 6),
+        (("tractable_honest", "tractable_adversarial"), 1 + 6),
+        (("tractable_adversarial",), 0),
+    ],
+)
+def test_sweep_draws_one_null_per_trial_and_one_dataset_per_cell_and_trial(monkeypatch, tests, per_trial):
+    drawn = _count_draws(monkeypatch)
+    grid = _grid([0.0, 0.5, 1.0], [0.2, 1.5], trials=3)
+    experiments.sweep_phase_diagram(grid, tests=tests)
+    assert len(drawn) == grid.trials * per_trial
+
+
+def test_monte_carlo_tests_see_the_same_datasets(monkeypatch):
+    drawn = _count_draws(monkeypatch)
+    seen = {"exhaustive": [], "tractable_honest": []}
+    real_exhaustive, real_oracle = experiments.run_exhaustive_test, experiments.EmpiricalOracle
+    monkeypatch.setattr(
+        experiments, "run_exhaustive_test",
+        lambda data, *a: seen["exhaustive"].append(data) or real_exhaustive(data, *a),
+    )
+    monkeypatch.setattr(
+        experiments, "EmpiricalOracle",
+        lambda data, *a: seen["tractable_honest"].append(data) or real_oracle(data, *a),
+    )
+    grid = _grid([0.5, 1.0], [0.2, 1.5], trials=2)
+    experiments.sweep_phase_diagram(grid)
+    assert len(drawn) == grid.trials * (1 + 4)
+    assert [id(x) for x in seen["exhaustive"]] == [id(x) for x in drawn]
+    assert [id(x) for x in seen["tractable_honest"]] == [id(x) for x in drawn]
+
+
+def test_type1_is_one_estimate_per_test():
+    grid = _grid([0.0, 0.5, 1.0], [0.0, 0.3, 1.5], trials=12, n=200)
+    rows = experiments.sweep_phase_diagram(grid, tests=("exhaustive", "tractable_honest"))
+    for name in ("exhaustive", "tractable_honest"):
+        assert len({r.type1 for r in rows if r.test == name}) == 1
+
+
+def test_sweep_rejects_an_empty_test_list():
+    with pytest.raises(errors.ValidationError, match="at least one test"):
+        experiments.sweep_phase_diagram(_grid([0.5], [0.4], trials=2), tests=())
 
 
 def test_sweep_with_dense_covariance_hits_target_separation():
