@@ -43,6 +43,24 @@ _DEFAULTS = {
 }
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# what each plainly typed config value must be; a key whose default is null
+# may also be null
+_VALUE_TYPES = {
+    **dict.fromkeys(("d", "s", "n", "trials", "seed", "threads"),
+                    ("an integer", lambda v: _is_number(v) and isinstance(v, int))),
+    **dict.fromkeys(("alpha", "gamma", "beta"), ("a number or a list of numbers",
+                    lambda v: all(map(_is_number, v if isinstance(v, list) else [v])))),
+    **dict.fromkeys(("R", "C", "C0", "xi"), ("a number", _is_number)),
+    **dict.fromkeys(("tests", "suites"), ("a list of strings",
+                    lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v))),
+    **dict.fromkeys(("out", "svg"), ("a path string", lambda v: isinstance(v, str))),
+}
+
+
 def _load_config(path: str | None) -> dict:
     cfg = dict(_DEFAULTS)
     if path is None:
@@ -62,6 +80,11 @@ def _load_config(path: str | None) -> dict:
     unknown = sorted(set(loaded) - _DEFAULTS.keys())
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
+    for key, value in loaded.items():
+        if key in _VALUE_TYPES and not (value is None and _DEFAULTS[key] is None):
+            what, ok = _VALUE_TYPES[key]
+            if not ok(value):
+                raise ConfigError(f"{key} must be {what}, got {json.dumps(value)}")
     cfg.update(loaded)
     return cfg
 
@@ -87,6 +110,16 @@ def _as_grid(value, field: str) -> list[float]:
     if not grid:
         raise ConfigError(f"empty {field} grid")
     return grid
+
+
+def _single(value, field: str, command: str) -> float:
+    """The one value of ``field`` that ``command`` reads: a number or a one-entry grid."""
+    if value is None:
+        raise ConfigError(f"{command} needs {field}")
+    grid = _as_grid(value, field)
+    if len(grid) != 1:
+        raise ConfigError(f"{command} needs a single {field}")
+    return grid[0]
 
 
 def _gamma_grid(cfg: dict) -> list[float]:
@@ -170,11 +203,9 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_risk(cfg: dict) -> int:
-    alphas = _as_grid(cfg["alpha"], "alpha")
-    gammas = _gamma_grid(cfg)
-    if len(alphas) != 1 or len(gammas) != 1:
-        raise ConfigError("risk expects a single alpha and a single gamma (or beta)")
-    rows = _run_sweep(cfg, alphas, gammas)
+    alpha = _single(cfg["alpha"], "alpha", "risk")
+    gamma = _single(_gamma_grid(cfg), "gamma (or beta)", "risk")
+    rows = _run_sweep(cfg, [alpha], [gamma])
     _emit(sweep_rows_to_csv(rows, _header("risk", cfg)), cfg["out"])
     return 0
 
@@ -189,24 +220,12 @@ def cmd_verify(cfg: dict) -> int:
 
 
 def cmd_oracle_demo(cfg: dict) -> int:
-    beta = cfg.get("beta")
-    if beta is None:
-        raise ConfigError("oracle-demo needs beta")
-    if isinstance(beta, list):
-        if len(beta) != 1:
-            raise ConfigError("oracle-demo needs a single beta")
-        beta = beta[0]
-    alpha = cfg["alpha"]
-    if isinstance(alpha, list):
-        if len(alpha) != 1:
-            raise ConfigError("oracle-demo needs a single alpha")
-        alpha = alpha[0]
     report = oracle_demo(
         d=int(cfg["d"]),
         s=int(cfg["s"]),
         n=int(cfg["n"]),
-        alpha=float(alpha),
-        beta=float(beta),
+        alpha=_single(cfg["alpha"], "alpha", "oracle-demo"),
+        beta=_single(cfg["beta"], "beta", "oracle-demo"),
         R=float(cfg["R"]),
         C=float(cfg["C"]),
         xi=cfg["xi"],

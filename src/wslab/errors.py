@@ -56,11 +56,11 @@ class BudgetExceededError(WslabError):
 
 
 class NoAnalyticExpectationError(WslabError):
-    """The query carries no analytic description, so no closed form exists."""
+    """The query was standardized with another variance than the model's."""
 
 
 class UnsupportedQueryKindError(WslabError):
-    """Closed-form expectations exist only for the registered query kinds."""
+    """A coordinate query names a kind that is not one of the registered kinds."""
 
 
 class ConfigError(WslabError):

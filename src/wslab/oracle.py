@@ -1,8 +1,8 @@
 """Simulated statistical-query oracle.
 
 An algorithm under the statistical-query discipline never touches raw data:
-it submits bounded query functions ``q(y, x) in [-M, M]`` and receives any
-response within a tolerance ``tau_q`` of the true expectation. The tolerance
+it submits bounded queries ``q(y, x) in [-M, M]`` and receives any response
+within a tolerance ``tau_q`` of the true expectation. The tolerance
 combines a range term and a variance term, mirroring a Bernstein bound with
 a capacity charge ``eta`` for the whole query family:
 
@@ -19,18 +19,19 @@ Three response policies are provided:
   model's expectation whenever that is simultaneously legal under both,
   which makes any test built on those responses blind to the pair.
 
-Closed-form expectations are available for the coordinate query family used
-by the tractable tests; they reduce to first and second moments of truncated
-univariate Gaussian mixtures. ``CoordinateQueryFamily`` is that family as
-one object, which ``EmpiricalOracle.query_all`` answers in a single pass.
+Every query is a ``CoordinateQuery``, a truncated statistic of one
+standardized coordinate. Its id, its per-sample values and its closed-form
+expectation (first and second moments of truncated Gaussian mixtures) all
+come from its fields, so every policy answers the same query.
+``CoordinateQueryFamily`` is the test's ``4d`` queries as one object, which
+``EmpiricalOracle.query_all`` answers in a single pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -44,8 +45,7 @@ from .errors import (
 from .model import Dataset, ModelParams
 
 __all__ = [
-    "TruncatedQuerySpec",
-    "BoundedQuery",
+    "CoordinateQuery",
     "CoordinateQueryFamily",
     "OracleConfig",
     "OracleResponse",
@@ -53,14 +53,19 @@ __all__ = [
     "tolerance",
     "truncated_moments",
     "analytic_expectation",
-    "analytic_query_expectation",
     "OraclePolicy",
     "EmpiricalOracle",
     "WorstCaseOracle",
     "AdversarialPairOracle",
 ]
 
-_KINDS = ("coordinate_mean", "coordinate_second_moment", "signed_label_mean")
+# each kind's id format over (sign, j), in the family's issue order; only a
+# signed-label id shows its sign
+_KINDS = {
+    "coordinate_mean": "coord_mean[{1}]",
+    "coordinate_second_moment": "coord_var[{1}]",
+    "signed_label_mean": "signed_mean[{0}{1}]",
+}
 
 # float64 elements in one column block of the family's single pass: 1 MiB
 _BLOCK_ELEMENTS = 1 << 17
@@ -70,50 +75,47 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
-class TruncatedQuerySpec:
-    """Analytic description of one coordinate query.
+class CoordinateQuery:
+    """One truncated coordinate query, described completely by its fields.
 
-    ``kind`` selects the family, ``j`` the coordinate, ``sign`` the direction
-    for signed-label queries, ``trunc`` the symmetric truncation level applied
-    to the standardized coordinate, and ``sigma_jj`` the variance used for
-    standardization when the query was built.
+    ``kind`` selects the statistic, ``j`` the coordinate, ``trunc`` the
+    symmetric truncation level of the standardized ``X_j / sqrt(sigma_jj)``,
+    ``bound_M`` the declared range ``[-M, M]`` and ``sign`` the direction
+    (``-1`` on signed-label queries only). ``id``, ``evaluate`` and
+    ``analytic_expectation`` all read these fields; queries compare and hash
+    by them.
     """
 
     kind: str
     j: int
     trunc: float
     sigma_jj: float
+    bound_M: float
     sign: int = 1
+    id: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise UnsupportedQueryKindError(f"unknown query kind {self.kind!r}")
         if self.sign not in (-1, 1):
             raise ValidationError(f"sign must be +1 or -1, got {self.sign}")
+        if self.sign < 0 and self.kind != "signed_label_mean":
+            raise ValidationError(f"sign -1 is defined for signed_label_mean only, not {self.kind}")
         if not self.trunc > 0:
             raise ValidationError("truncation level must be positive")
         if not self.sigma_jj > 0:
             raise ValidationError("sigma_jj must be positive")
-
-
-@dataclass(frozen=True)
-class BoundedQuery:
-    """A bounded query function with its declared range.
-
-    ``evaluate`` is vectorized: it maps labels of shape ``(m,)`` and
-    covariates of shape ``(m, d)`` to responses of shape ``(m,)`` with every
-    value in ``[-bound_M, bound_M]``. ``analytic`` is present for queries
-    whose expectation has a closed form.
-    """
-
-    id: str
-    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    bound_M: float
-    analytic: TruncatedQuerySpec | None = None
-
-    def __post_init__(self) -> None:
         if not self.bound_M > 0:
             raise ValidationError("bound_M must be positive")
+        # formatted once: the honest arm reads 4d ids per dataset
+        object.__setattr__(self, "id", _KINDS[self.kind].format("+" if self.sign > 0 else "-", self.j))
+
+    def evaluate(self, labels: np.ndarray, covariates: np.ndarray) -> np.ndarray:
+        """Per-sample values, shape ``(m,)``, on labels ``(m,)`` and covariates ``(m, d)``."""
+        z = covariates[:, self.j] / math.sqrt(self.sigma_jj)
+        if self.sign < 0:
+            z = -z
+        return _truncated_statistic(self.kind, labels, z, self.trunc)
 
 
 def _truncated_statistic(
@@ -134,15 +136,6 @@ def _truncated_statistic(
     return (2.0 * labels - 1.0) * z * inside
 
 
-def _coordinate_values(
-    spec: TruncatedQuerySpec, scale: float, labels: np.ndarray, covariates: np.ndarray
-) -> np.ndarray:
-    z = covariates[:, spec.j] / scale
-    if spec.sign < 0:
-        z = -z
-    return _truncated_statistic(spec.kind, labels, z, spec.trunc)
-
-
 class CoordinateQueryFamily(tuple):
     """The ``4d`` truncated coordinate queries, in the fixed issue order.
 
@@ -151,36 +144,28 @@ class CoordinateQueryFamily(tuple):
     ``-``). Coordinate ``j`` is standardized by ``sqrt(diag[j])`` and
     truncated at ``trunc``; the mean and signed queries are bounded by
     ``bound_mean``, the second moments by ``bound_var``. Each element is a
-    ``BoundedQuery`` whose ``evaluate`` makes its own pass over one column;
-    ``column_means`` answers the whole family in one pass over column
-    blocks, with the same values bit for bit.
+    ``CoordinateQuery`` whose ``evaluate`` makes its own pass over one
+    column; ``column_means`` answers the whole family in one pass over
+    column blocks, with the same values bit for bit.
     """
 
     def __new__(
         cls, diag: np.ndarray, trunc: float, bound_mean: float, bound_var: float
     ) -> "CoordinateQueryFamily":
         diag = np.asarray(diag, dtype=float)
-        scales = np.sqrt(diag)
         groups = [
-            ("coord_mean[{}]", "coordinate_mean", 1, bound_mean),
-            ("coord_var[{}]", "coordinate_second_moment", 1, bound_var),
-            ("signed_mean[+{}]", "signed_label_mean", 1, bound_mean),
-            ("signed_mean[-{}]", "signed_label_mean", -1, bound_mean),
+            ("coordinate_mean", 1, bound_mean),
+            ("coordinate_second_moment", 1, bound_var),
+            ("signed_label_mean", 1, bound_mean),
+            ("signed_label_mean", -1, bound_mean),
         ]
-        queries = []
-        for id_format, kind, sign, bound in groups:
-            for j in range(diag.shape[0]):
-                spec = TruncatedQuerySpec(kind, j, trunc, float(diag[j]), sign=sign)
-                queries.append(
-                    BoundedQuery(
-                        id=id_format.format(j),
-                        evaluate=partial(_coordinate_values, spec, scales[j]),
-                        bound_M=bound,
-                        analytic=spec,
-                    )
-                )
+        queries = [
+            CoordinateQuery(kind, j, trunc, float(diag[j]), bound, sign)
+            for kind, sign, bound in groups
+            for j in range(diag.shape[0])
+        ]
         family = super().__new__(cls, queries)
-        family.scales = scales
+        family.scales = np.sqrt(diag)
         family.trunc = trunc
         return family
 
@@ -257,7 +242,7 @@ class GapRecord:
         return self.gap > self.tolerance
 
 
-def tolerance(q: BoundedQuery, expectation: float, cfg: OracleConfig) -> float:
+def tolerance(q: CoordinateQuery, expectation: float, cfg: OracleConfig) -> float:
     """Allowed response deviation for ``q`` when its true expectation is known.
 
     Maximum of the range branch ``(eta + log(1/xi)) M / n`` and the variance
@@ -312,23 +297,23 @@ def truncated_moments(mean: float, lo: float, hi: float) -> tuple[float, float, 
     return p, m1, m2
 
 
-def _standardized_components(spec: TruncatedQuerySpec, theta: ModelParams) -> list[tuple[float, float]]:
+def _standardized_components(q: CoordinateQuery, theta: ModelParams) -> list[tuple[float, float]]:
     """(weight, mean) pairs of the relevant univariate standardized mixture."""
-    j = spec.j
+    j = q.j
     sigma_jj = float(theta.sigma[j, j])
-    if not math.isclose(sigma_jj, spec.sigma_jj, rel_tol=1e-9, abs_tol=0.0):
+    if not math.isclose(sigma_jj, q.sigma_jj, rel_tol=1e-9, abs_tol=0.0):
         raise NoAnalyticExpectationError(
-            f"query {spec.kind}[{j}] was standardized with variance {spec.sigma_jj:.6g} "
+            f"query {q.id!r} was standardized with variance {q.sigma_jj:.6g} "
             f"but the model has {sigma_jj:.6g}"
         )
-    scale = math.sqrt(spec.sigma_jj)
+    scale = math.sqrt(q.sigma_jj)
     a0 = float(theta.mu0[j]) / scale
     a1 = float(theta.mu1[j]) / scale
-    if spec.kind in ("coordinate_mean", "coordinate_second_moment"):
+    if q.kind != "signed_label_mean":
         return [(0.5, a0), (0.5, a1)]
-    # signed_label_mean: distribution of (2Y - 1) * sign * X_j / sqrt(sigma_jj)
+    # distribution of (2Y - 1) * sign * X_j / sqrt(sigma_jj)
     alpha = theta.alpha
-    s = float(spec.sign)
+    s = float(q.sign)
     return [
         ((1.0 + alpha) / 4.0, s * a1),
         ((1.0 - alpha) / 4.0, s * a0),
@@ -337,11 +322,11 @@ def _standardized_components(spec: TruncatedQuerySpec, theta: ModelParams) -> li
     ]
 
 
-def analytic_query_expectation(spec: TruncatedQuerySpec, theta: ModelParams) -> float:
-    """Exact expectation of the truncated coordinate query under ``theta``."""
-    t = spec.trunc
-    components = _standardized_components(spec, theta)
-    if spec.kind == "coordinate_second_moment":
+def analytic_expectation(q: CoordinateQuery, theta: ModelParams) -> float:
+    """Exact ``E_theta[q]``: the expectation of ``q.evaluate`` under ``theta``."""
+    t = q.trunc
+    components = _standardized_components(q, theta)
+    if q.kind == "coordinate_second_moment":
         total = 0.0
         for weight, mean in components:
             p, _, m2 = truncated_moments(mean, -t, t)
@@ -352,13 +337,6 @@ def analytic_query_expectation(spec: TruncatedQuerySpec, theta: ModelParams) -> 
         _, m1, _ = truncated_moments(mean, -t, t)
         total += weight * m1
     return total
-
-
-def analytic_expectation(q: BoundedQuery, theta: ModelParams) -> float:
-    """Closed-form ``E_theta[q]`` for queries carrying an analytic description."""
-    if q.analytic is None:
-        raise NoAnalyticExpectationError(f"query {q.id!r} has no analytic description")
-    return analytic_query_expectation(q.analytic, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +359,7 @@ class OraclePolicy:
     def queries_issued(self) -> int:
         return self._issued
 
-    def query(self, q: BoundedQuery) -> OracleResponse:
+    def query(self, q: CoordinateQuery) -> OracleResponse:
         if self._issued >= self.cfg.budget_T:
             raise BudgetExceededError(
                 f"query budget of {self.cfg.budget_T} exhausted; refusing query {q.id!r}"
@@ -389,7 +367,7 @@ class OraclePolicy:
         self._issued += 1
         return OracleResponse(value=self._respond(q), query_id=q.id)
 
-    def query_all(self, queries: Sequence[BoundedQuery]) -> list[OracleResponse]:
+    def query_all(self, queries: Sequence[CoordinateQuery]) -> list[OracleResponse]:
         """Issue ``queries`` in order, one budget unit each.
 
         A budget that runs out partway raises on the first query past it,
@@ -397,7 +375,7 @@ class OraclePolicy:
         """
         return [self.query(q) for q in queries]
 
-    def _respond(self, q: BoundedQuery) -> float:  # pragma: no cover - abstract
+    def _respond(self, q: CoordinateQuery) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
 
 
@@ -411,8 +389,7 @@ class EmpiricalOracle(OraclePolicy):
     ``query_all`` answers a ``CoordinateQueryFamily`` in one blocked pass
     over the covariates; any other query runs its own ``evaluate``. For
     those per-query calls a column-major copy of the covariates is made
-    once, on the first of them, because coordinate queries slice single
-    columns.
+    once, on the first of them, because each query slices one column.
     """
 
     def __init__(self, data: Dataset, cfg: OracleConfig) -> None:
@@ -420,7 +397,7 @@ class EmpiricalOracle(OraclePolicy):
         self.data = data
         self._columns: np.ndarray | None = None
 
-    def query_all(self, queries: Sequence[BoundedQuery]) -> list[OracleResponse]:
+    def query_all(self, queries: Sequence[CoordinateQuery]) -> list[OracleResponse]:
         remaining = self.cfg.budget_T - self._issued
         if not isinstance(queries, CoordinateQueryFamily) or len(queries) > remaining:
             return super().query_all(queries)
@@ -428,14 +405,10 @@ class EmpiricalOracle(OraclePolicy):
         values = queries.column_means(self.data.labels, self.data.covariates)
         return [OracleResponse(value=v, query_id=q.id) for q, v in zip(queries, values.tolist())]
 
-    def _respond(self, q: BoundedQuery) -> float:
+    def _respond(self, q: CoordinateQuery) -> float:
         if self._columns is None:
             self._columns = np.asfortranarray(self.data.covariates)
-        values = np.asarray(q.evaluate(self.data.labels, self._columns), dtype=float)
-        if values.shape != (self.data.n,):
-            raise ValidationError(
-                f"query {q.id!r} returned shape {values.shape}, expected ({self.data.n},)"
-            )
+        values = q.evaluate(self.data.labels, self._columns)
         # values.mean() divides this same sum by n, with more per-call overhead
         return float(np.add.reduce(values) / self.data.n)
 
@@ -443,8 +416,7 @@ class EmpiricalOracle(OraclePolicy):
 class WorstCaseOracle(OraclePolicy):
     """Maximally biased conforming oracle: ``E[q] + sign * tau_q``.
 
-    ``sign_policy`` is ``"+"`` or ``"-"``. Requires analytic expectations
-    for every query.
+    ``sign_policy`` is ``"+"`` or ``"-"``.
     """
 
     def __init__(self, theta: ModelParams, cfg: OracleConfig, sign_policy: str = "+") -> None:
@@ -454,7 +426,7 @@ class WorstCaseOracle(OraclePolicy):
         self.theta = theta
         self.sign_policy = sign_policy
 
-    def _respond(self, q: BoundedQuery) -> float:
+    def _respond(self, q: CoordinateQuery) -> float:
         expectation = analytic_expectation(q, self.theta)
         tau = tolerance(q, expectation, self.cfg)
         return expectation + tau if self.sign_policy == "+" else expectation - tau
@@ -476,19 +448,18 @@ class AdversarialPairOracle:
         self.theta0 = theta0
         self.theta1 = theta1
         self.cfg = cfg
-        # (record, answer under model 0, answer under model 1) per query,
-        # keyed by what a record is computed from, not by the query's id,
-        # so a reused id with another truncation gets its own record
-        self._table: dict[tuple[TruncatedQuerySpec, float], tuple[GapRecord, float, float]] = {}
+        # (record, answer under model 0, answer under model 1) per query;
+        # a query is keyed by all of its fields, so a reused id with another
+        # truncation or bound gets its own record
+        self._table: dict[CoordinateQuery, tuple[GapRecord, float, float]] = {}
 
-    def assess(self, q: BoundedQuery) -> GapRecord:
-        key = (q.analytic, q.bound_M)
-        if key not in self._table:
+    def assess(self, q: CoordinateQuery) -> GapRecord:
+        if q not in self._table:
             e0 = analytic_expectation(q, self.theta0)
             e1 = analytic_expectation(q, self.theta1)
             record = GapRecord(query_id=q.id, gap=abs(e1 - e0), tolerance=tolerance(q, e1, self.cfg))
-            self._table[key] = (record, e0, e1 if record.flagged else e0)
-        return self._table[key][0]
+            self._table[q] = (record, e0, e1 if record.flagged else e0)
+        return self._table[q][0]
 
     @property
     def report(self) -> list[GapRecord]:
@@ -506,6 +477,6 @@ class AdversarialPairOracle:
             self.parent = parent
             self.true_model = true_model
 
-        def _respond(self, q: BoundedQuery) -> float:
+        def _respond(self, q: CoordinateQuery) -> float:
             self.parent.assess(q)
-            return self.parent._table[(q.analytic, q.bound_M)][1 + self.true_model]
+            return self.parent._table[q][1 + self.true_model]

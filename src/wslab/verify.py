@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import AltSpec, ModelParams, make_restricted_alternative, sample_dataset
-from .oracle import BoundedQuery, OracleConfig, tolerance
+from .oracle import CoordinateQuery, OracleConfig, tolerance
 from .pairing import between_class_differences
 from .seeding import spawn_rng
 from .theory import (
@@ -134,7 +134,8 @@ def _moments_checks(seed: int) -> list[CheckResult]:
 
 def _tolerance_checks(seed: int) -> list[CheckResult]:
     out = []
-    q = BoundedQuery(id="unit", evaluate=lambda y, x: np.zeros(len(y)), bound_M=1.0)
+    # only the bound of a query enters its tolerance
+    q = CoordinateQuery("coordinate_mean", 0, 1.0, 1.0, bound_M=1.0)
     cfg = OracleConfig(n=100, xi=math.exp(-1.0), eta=0.0, budget_T=1)
     got = tolerance(q, 0.0, cfg)
     expected = math.sqrt(2.0 / 100.0)
@@ -163,7 +164,7 @@ def _tolerance_checks(seed: int) -> list[CheckResult]:
             for n in (10, 1000):
                 for cap in (0.5, 5.0, 50.0):
                     c = OracleConfig(n=n, xi=math.exp(-cap), eta=0.0, budget_T=1)
-                    qq = BoundedQuery(id="g", evaluate=lambda y, x: np.zeros(len(y)), bound_M=m)
+                    qq = CoordinateQuery("coordinate_mean", 0, 1.0, 1.0, bound_M=m)
                     e = e_frac * m
                     b1 = cap * m / n
                     b2 = math.sqrt(2.0 * cap * (m * m - e * e) / n)

@@ -91,6 +91,45 @@ def _sweep_config(tmp_path, **overrides):
     return _write_config(tmp_path, "sweep.json", payload)
 
 
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("sweep", {"gamma": "12"}),  # was read as the grid (1.0, 2.0)
+        ("sweep", {"d": 6.9}),  # was truncated to 6
+        ("sweep", {"n": 100.7}),
+        ("sweep", {"trials": 2.9}),
+        ("sweep", {"seed": 3.2}),
+        ("sweep", {"seed": True}),  # was run as seed 1
+        ("risk", {"s": "2", "alpha": [0.5], "gamma": [0.3]}),
+        ("sweep", {"threads": 1.5}),
+        ("sweep", {"alpha": [0.5, "1"]}),
+        ("sweep", {"R": True}),
+        ("sweep", {"xi": "0.1"}),
+        ("sweep", {"C0": None}),
+        ("sweep", {"tests": "exhaustive"}),  # was read letter by letter
+        ("verify", {"suites": "chisq"}),
+        ("verify", {"suites": ["chisq", 3]}),
+        ("oracle-demo", {"alpha": 0.5, "beta": [True]}),
+        ("sweep", {"svg": 5}),  # was a TypeError traceback after the CSV was written
+    ],
+)
+def test_config_value_of_the_wrong_type_exits_2(command, overrides, tmp_path, capsys):
+    cfg = _sweep_config(tmp_path, **overrides)
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert any(f"{key} must be" in err for key in overrides)
+    assert not out.exists()
+
+
+def test_config_accepts_null_where_the_default_is_null(tmp_path):
+    cfg = _write_config(
+        tmp_path, "rates.json", {"alpha": 1, "gamma": None, "beta": None, "xi": None, "threads": None}
+    )
+    assert cli.main(["rates", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+
+
 def test_sweep_rerun_is_byte_identical(tmp_path):
     cfg = _sweep_config(tmp_path)
     out1 = tmp_path / "a.csv"

@@ -13,26 +13,27 @@ from wslab.tractable import TractableConfig, build_queries, default_oracle_confi
 from conftest import stream
 
 
-def _const_query(c: float, m: float = 1.0) -> oracle.BoundedQuery:
-    return oracle.BoundedQuery(id=f"const_{c}", evaluate=lambda y, x: np.full(len(y), c), bound_M=m)
+def _bounded(m: float = 1.0) -> oracle.CoordinateQuery:
+    # a tolerance reads only the query's bound
+    return oracle.CoordinateQuery("coordinate_mean", 0, 1.0, 1.0, bound_M=m)
 
 
 def test_tolerance_variance_branch_golden():
     cfg = oracle.OracleConfig(n=100, xi=math.exp(-1.0), eta=0.0, budget_T=1)
-    got = oracle.tolerance(_const_query(0.0), 0.0, cfg)
+    got = oracle.tolerance(_bounded(), 0.0, cfg)
     assert got == pytest.approx(math.sqrt(2.0 / 100.0), rel=1e-12)
 
 
 def test_tolerance_range_branch_when_expectation_full():
     cfg = oracle.OracleConfig(n=50, xi=0.1, eta=2.0, budget_T=1)
-    got = oracle.tolerance(_const_query(1.0), 1.0, cfg)
+    got = oracle.tolerance(_bounded(), 1.0, cfg)
     assert got == pytest.approx((2.0 + math.log(10.0)) / 50.0, rel=1e-12)
 
 
 def test_tolerance_expectation_out_of_range():
     cfg = oracle.OracleConfig(n=50, xi=0.1, eta=0.0, budget_T=1)
     with pytest.raises(errors.ExpectationOutOfRangeError):
-        oracle.tolerance(_const_query(0.0, m=1.0), 1.5, cfg)
+        oracle.tolerance(_bounded(m=1.0), 1.5, cfg)
 
 
 @settings(max_examples=80, deadline=None)
@@ -43,7 +44,7 @@ def test_tolerance_expectation_out_of_range():
     cap=st.floats(min_value=0.01, max_value=50.0),
 )
 def test_tolerance_halves_when_n_doubles(n, m, e_frac, cap):
-    q = _const_query(0.0, m=m)
+    q = _bounded(m=m)
     cfg1 = oracle.OracleConfig(n=n, xi=math.exp(-cap), eta=0.0, budget_T=1)
     cfg2 = oracle.OracleConfig(n=2 * n, xi=math.exp(-cap), eta=0.0, budget_T=1)
     t1 = oracle.tolerance(q, e_frac * m, cfg1)
@@ -60,7 +61,7 @@ def test_tolerance_branch_crossover_identity():
                     e = e_frac * m
                     b1 = cap * m / n
                     b2 = math.sqrt(2.0 * cap * (m * m - e * e) / n)
-                    assert oracle.tolerance(_const_query(0.0, m=m), e, cfg) == max(b1, b2)
+                    assert oracle.tolerance(_bounded(m=m), e, cfg) == max(b1, b2)
                     assert (b1 >= b2) == (cap * m * m >= 2 * n * (m * m - e * e))
 
 
@@ -85,31 +86,33 @@ def test_truncated_moments_symmetric_interval_zero_mean():
 
 def test_analytic_expectation_null_symmetry():
     theta = model.ModelParams(np.zeros(3), np.zeros(3), np.eye(3), 0.5)
-    spec_mean = oracle.TruncatedQuerySpec("coordinate_mean", 0, 2.5, 1.0)
-    spec_signed = oracle.TruncatedQuerySpec("signed_label_mean", 1, 2.5, 1.0, sign=-1)
-    assert oracle.analytic_query_expectation(spec_mean, theta) == pytest.approx(0.0, abs=1e-15)
-    assert oracle.analytic_query_expectation(spec_signed, theta) == pytest.approx(0.0, abs=1e-15)
+    q_mean = oracle.CoordinateQuery("coordinate_mean", 0, 2.5, 1.0, 2.5)
+    q_signed = oracle.CoordinateQuery("signed_label_mean", 1, 2.5, 1.0, 2.5, sign=-1)
+    assert oracle.analytic_expectation(q_mean, theta) == pytest.approx(0.0, abs=1e-15)
+    assert oracle.analytic_expectation(q_signed, theta) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_analytic_second_moment_untruncated_null():
     theta = model.ModelParams(np.zeros(2), np.zeros(2), np.eye(2), 0.0)
-    spec = oracle.TruncatedQuerySpec("coordinate_second_moment", 0, math.inf, 1.0)
-    assert oracle.analytic_query_expectation(spec, theta) == pytest.approx(0.0, abs=1e-12)
+    q = oracle.CoordinateQuery("coordinate_second_moment", 0, math.inf, 1.0, math.inf)
+    assert oracle.analytic_expectation(q, theta) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_analytic_expectation_matches_monte_carlo():
-    # all three kinds, random models, 1e6 draws each, 4 standard errors
+    # all three kinds, random models, 1e6 draws each, 4 standard errors; the
+    # formulas written out here and the query's own evaluate both match
     rng = stream(40)
     checks = 0
     for trial in range(20):
         d = 3
+        kind = ("coordinate_mean", "coordinate_second_moment", "signed_label_mean")[trial % 3]
         mu0 = rng.uniform(-1, 1, d)
         mu1 = rng.uniform(-1, 1, d)
         diag = rng.uniform(0.5, 2.0, d)
         alpha = float(rng.uniform(0, 1))
         theta = model.ModelParams(mu0, mu1, np.diag(diag), alpha)
         j = int(rng.integers(0, d))
-        sign = int(rng.choice([-1, 1]))
+        sign = int(rng.choice([-1, 1])) if kind == "signed_label_mean" else 1
         trunc = float(rng.uniform(1.0, 3.0))
         m = 1_000_000
         z = rng.integers(0, 2, m)
@@ -117,7 +120,6 @@ def test_analytic_expectation_matches_monte_carlo():
         y = np.where(rng.random(m) < (1 + alpha) / 2, z, 1 - z)
         std = x / math.sqrt(diag[j])
         mask = np.abs(std) <= trunc
-        kind = ("coordinate_mean", "coordinate_second_moment", "signed_label_mean")[trial % 3]
         if kind == "coordinate_mean":
             vals = std * mask
         elif kind == "coordinate_second_moment":
@@ -125,30 +127,55 @@ def test_analytic_expectation_matches_monte_carlo():
         else:
             flipped = sign * std
             vals = (2 * y - 1) * flipped * (np.abs(flipped) <= trunc)
-        spec = oracle.TruncatedQuerySpec(kind, j, trunc, float(diag[j]), sign=sign)
-        exact = oracle.analytic_query_expectation(spec, theta)
+        q = oracle.CoordinateQuery(kind, j, trunc, float(diag[j]), trunc * trunc, sign=sign)
+        exact = oracle.analytic_expectation(q, theta)
         se = vals.std(ddof=1) / math.sqrt(m)
         assert abs(vals.mean() - exact) <= 4 * se, (kind, trial)
+        covariates = np.zeros((m, d))
+        covariates[:, j] = x
+        own = q.evaluate(y, covariates)
+        assert abs(own.mean() - exact) <= 4 * own.std(ddof=1) / math.sqrt(m), (kind, trial)
         checks += 1
     assert checks == 20
 
 
 def test_unsupported_kind_rejected():
     with pytest.raises(errors.UnsupportedQueryKindError):
-        oracle.TruncatedQuerySpec("median", 0, 1.0, 1.0)
+        oracle.CoordinateQuery("median", 0, 1.0, 1.0, 1.0)
 
 
-def test_analytic_expectation_requires_description():
-    theta = model.ModelParams(np.zeros(2), np.zeros(2), np.eye(2), 0.5)
-    with pytest.raises(errors.NoAnalyticExpectationError):
-        oracle.analytic_expectation(_const_query(0.3), theta)
+@pytest.mark.parametrize(
+    "kind, sign, bound",
+    [
+        ("coordinate_mean", -1, 1.0),  # only a signed-label query has a direction
+        ("coordinate_second_moment", -1, 1.0),
+        ("signed_label_mean", 1, 0.0),
+        ("signed_label_mean", -1, -1.0),
+    ],
+)
+def test_coordinate_query_rejects_an_inconsistent_description(kind, sign, bound):
+    with pytest.raises(errors.ValidationError):
+        oracle.CoordinateQuery(kind, 0, 1.0, 1.0, bound, sign=sign)
+
+
+def test_family_ids_follow_kind_sign_and_coordinate():
+    d = 3
+    queries = build_queries(TractableConfig(d=d, n=100), np.eye(d))
+    expected = [
+        *(f"coord_mean[{j}]" for j in range(d)),
+        *(f"coord_var[{j}]" for j in range(d)),
+        *(f"signed_mean[+{j}]" for j in range(d)),
+        *(f"signed_mean[-{j}]" for j in range(d)),
+    ]
+    assert [q.id for q in queries] == expected
+    assert len(set(expected)) == 4 * d
 
 
 def test_analytic_expectation_rejects_mismatched_standardization():
     theta = model.ModelParams(np.zeros(2), np.zeros(2), np.diag([2.0, 1.0]), 0.5)
-    spec = oracle.TruncatedQuerySpec("coordinate_mean", 0, 2.0, 1.0)  # built for unit variance
+    q = oracle.CoordinateQuery("coordinate_mean", 0, 2.0, 1.0, 2.0)  # built for unit variance
     with pytest.raises(errors.NoAnalyticExpectationError):
-        oracle.analytic_query_expectation(spec, theta)
+        oracle.analytic_expectation(q, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +193,17 @@ def _ocfg(n: int, budget: int = 100) -> oracle.OracleConfig:
 
 
 def test_empirical_oracle_constant_query_exact():
+    # a constant covariate column inside the truncation window
     data = _null_dataset(100, 2, 0)
+    data = model.Dataset(labels=data.labels, covariates=np.column_stack([np.full(100, 0.25), data.covariates[:, 1]]))
     pol = oracle.EmpiricalOracle(data, _ocfg(100))
-    assert pol.query(_const_query(0.25)).value == pytest.approx(0.25, rel=1e-15)
+    q = oracle.CoordinateQuery("coordinate_mean", 0, 1.0, 1.0, 1.0)
+    assert pol.query(q).value == pytest.approx(0.25, rel=1e-15)
 
 
 def test_empirical_oracle_symmetric_labels():
     data = _null_dataset(100_000, 2, 1, alpha=0.0)
-    q = oracle.BoundedQuery(id="sgn", evaluate=lambda y, x: 2.0 * y - 1.0, bound_M=1.0)
+    q = oracle.CoordinateQuery("signed_label_mean", 0, 3.0, 1.0, 3.0)
     value = oracle.EmpiricalOracle(data, _ocfg(100_000)).query(q).value
     assert abs(value) <= 3.0 / math.sqrt(100_000)
 
@@ -183,7 +213,7 @@ def test_empirical_oracle_order_invariant():
     rng = stream(42)
     perm = rng.permutation(data.n)
     shuffled = model.Dataset(labels=data.labels[perm], covariates=data.covariates[perm])
-    q = oracle.BoundedQuery(id="x0", evaluate=lambda y, x: np.clip(x[:, 0], -5, 5), bound_M=5.0)
+    q = oracle.CoordinateQuery("coordinate_mean", 0, 5.0, 1.0, 5.0)
     a = oracle.EmpiricalOracle(data, _ocfg(500)).query(q).value
     b = oracle.EmpiricalOracle(shuffled, _ocfg(500)).query(q).value
     assert a == pytest.approx(b, rel=1e-12)
@@ -192,7 +222,7 @@ def test_empirical_oracle_order_invariant():
 def test_budget_exhausts_deterministically():
     data = _null_dataset(10, 2, 3)
     pol = oracle.EmpiricalOracle(data, _ocfg(10, budget=3))
-    q = _const_query(0.0)
+    q = _bounded()
     for _ in range(3):
         pol.query(q)
     with pytest.raises(errors.BudgetExceededError):
@@ -220,8 +250,7 @@ def test_empirical_oracle_conformance_to_exact_tolerance():
 
 def test_worst_case_oracle_sign_policies():
     theta = model.ModelParams(np.zeros(2), np.zeros(2), np.eye(2), 0.5)
-    spec = oracle.TruncatedQuerySpec("coordinate_mean", 0, 2.0, 1.0)
-    q = oracle.BoundedQuery(id="m0", evaluate=lambda y, x: x[:, 0], bound_M=2.0, analytic=spec)
+    q = oracle.CoordinateQuery("coordinate_mean", 0, 2.0, 1.0, 2.0)
     cfg = _ocfg(400)
     tau = oracle.tolerance(q, 0.0, cfg)
     plus = oracle.WorstCaseOracle(theta, cfg, "+").query(q)
@@ -229,12 +258,6 @@ def test_worst_case_oracle_sign_policies():
     assert plus.value == pytest.approx(tau, rel=1e-12)
     assert minus.value == pytest.approx(-tau, rel=1e-12)
 
-
-def test_worst_case_oracle_requires_analytic_query():
-    theta = model.ModelParams(np.zeros(2), np.zeros(2), np.eye(2), 0.5)
-    pol = oracle.WorstCaseOracle(theta, _ocfg(100), "+")
-    with pytest.raises(errors.NoAnalyticExpectationError):
-        pol.query(_const_query(0.0))
 
 
 def _pair(alpha: float, beta: float, d: int = 4):
@@ -281,11 +304,10 @@ def test_adversarial_views_answer_from_the_assessed_expectations(monkeypatch):
     cfg = TractableConfig(d=4, n=1_000_000)
     queries = build_queries(cfg, np.eye(4))
     exact = oracle.analytic_expectation
-    calls: dict[tuple, int] = {}
+    calls: dict[oracle.CoordinateQuery, int] = {}
 
     def counting(q, theta):
-        key = (q.analytic, q.bound_M)
-        calls[key] = calls.get(key, 0) + 1
+        calls[q] = calls.get(q, 0) + 1
         return exact(q, theta)
 
     monkeypatch.setattr(oracle, "analytic_expectation", counting)
@@ -293,7 +315,7 @@ def test_adversarial_views_answer_from_the_assessed_expectations(monkeypatch):
     t0 = adv.policy(0).query_all(queries)
     t1 = adv.policy(1).query_all(queries)
     assert any(r.flagged for r in adv.report)
-    assert calls == {(q.analytic, q.bound_M): 2 for q in queries}
+    assert calls == {q: 2 for q in queries}
     for q, r0, r1, rec in zip(queries, t0, t1, adv.report):
         assert r0.value == exact(q, theta0)
         assert r1.value == (exact(q, theta1) if rec.flagged else r0.value)
@@ -320,25 +342,24 @@ def test_adversarial_records_follow_the_query_spec_not_its_id():
     theta0, theta1 = _pair(alpha=0.5, beta=1.0)
     cfg = default_oracle_config(TractableConfig(d=4, n=200))
 
-    def query(trunc: float, bound: float) -> oracle.BoundedQuery:
-        spec = oracle.TruncatedQuerySpec("signed_label_mean", 0, trunc, 1.0)
-        return oracle.BoundedQuery(id="q", evaluate=lambda y, x: x[:, 0], bound_M=bound, analytic=spec)
+    def query(trunc: float, bound: float) -> oracle.CoordinateQuery:
+        return oracle.CoordinateQuery("signed_label_mean", 0, trunc, 1.0, bound)
 
     adv = oracle.AdversarialPairOracle(theta0, theta1, cfg)
     adv.assess(query(1.0, 1.0))
+    assert {query(3.0, 3.0).id, query(1.0, 2.0).id} == {"signed_mean[+0]"}
     for q in (query(3.0, 3.0), query(1.0, 2.0)):
         assert adv.assess(q) == oracle.AdversarialPairOracle(theta0, theta1, cfg).assess(q)
     assert len(adv.report) == 3
 
 
-def _closure_values(q: oracle.BoundedQuery, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _closure_values(q: oracle.CoordinateQuery, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     # the per-query formulas written out, independent of the package's own
-    spec = q.analytic
-    z = spec.sign * x[:, spec.j] / math.sqrt(spec.sigma_jj)
-    inside = np.abs(z) <= spec.trunc
-    if spec.kind == "coordinate_mean":
+    z = q.sign * x[:, q.j] / math.sqrt(q.sigma_jj)
+    inside = np.abs(z) <= q.trunc
+    if q.kind == "coordinate_mean":
         return z * inside
-    if spec.kind == "coordinate_second_moment":
+    if q.kind == "coordinate_second_moment":
         return (z * z - 1.0) * inside
     return (2.0 * y - 1.0) * z * inside
 
@@ -394,11 +415,3 @@ def test_family_budget_is_counted_per_query():
         spent.query_all(queries)
     assert spent.queries_issued == 4 * d
 
-
-def test_hand_built_query_is_answered_by_its_own_evaluate():
-    # the analytic spec describes a coordinate mean; evaluate is a constant
-    data = _null_dataset(100, 2, 63)
-    spec = oracle.TruncatedQuerySpec("coordinate_mean", 0, 2.0, 1.0)
-    q = oracle.BoundedQuery(id="m0", evaluate=lambda y, x: np.full(len(y), 0.25), bound_M=2.0, analytic=spec)
-    (response,) = oracle.EmpiricalOracle(data, _ocfg(100)).query_all([q])
-    assert response.value == 0.25

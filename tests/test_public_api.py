@@ -19,6 +19,16 @@ def test_module_exports_resolve(name):
     assert not missing, f"wslab.{name}.__all__ names missing attributes: {missing}"
 
 
+# names across every module's __all__; a change that grows or shrinks the
+# public API edits this number and says why in its change notes
+PUBLIC_NAMES = 61
+
+
+def test_public_api_size_is_pinned():
+    total = sum(len(getattr(importlib.import_module(f"wslab.{name}"), "__all__", ())) for name in MODULES)
+    assert total == PUBLIC_NAMES
+
+
 def test_package_imports():
     assert importlib.import_module("wslab").__version__
 

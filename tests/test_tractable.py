@@ -111,7 +111,7 @@ def test_signed_scan_all_zero_accepts():
 
 def _exact_responses(cfg, theta):
     queries = tractable.build_queries(cfg, np.asarray(theta.sigma))
-    return np.array([oracle.analytic_query_expectation(q.analytic, theta) for q in queries])
+    return np.array([oracle.analytic_expectation(q, theta) for q in queries])
 
 
 def test_exact_response_variance_gap_near_quarter_signal():
