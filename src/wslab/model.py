@@ -264,7 +264,7 @@ def sample_with_latent(
         x += theta.mu0
     shift = theta.mu1 - theta.mu0
     if shift.any():
-        x[z == 1] += shift
+        np.add(x, shift, out=x, where=(z == 1)[:, None])
     y = z.copy()
     y[rng.random(n) >= (1.0 + theta.alpha) / 2.0] ^= 1
     return _trusted_dataset(y, x), z

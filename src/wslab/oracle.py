@@ -29,6 +29,7 @@ come from its fields, so every policy answers the same query.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -67,8 +68,13 @@ _KINDS = {
     "signed_label_mean": "signed_mean[{0}{1}]",
 }
 
-# float64 elements in one column block of the family's single pass: 1 MiB
-_BLOCK_ELEMENTS = 1 << 17
+# float64 elements in one column block of the family's single pass: 256 KiB,
+# so a block and its work buffer stay in a per-core cache
+_BLOCK_ELEMENTS = 1 << 15
+
+# distinct truncated-mixture expectations kept; an adversarial cell needs a
+# handful, a sweep a few hundred
+_MIXTURE_CACHE_SIZE = 4096
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -80,8 +86,9 @@ class CoordinateQuery:
 
     ``kind`` selects the statistic, ``j`` the coordinate, ``trunc`` the
     symmetric truncation level of the standardized ``X_j / sqrt(sigma_jj)``,
-    ``bound_M`` the declared range ``[-M, M]`` and ``sign`` the direction
-    (``-1`` on signed-label queries only). ``id``, ``evaluate`` and
+    ``bound_M`` the declared range ``[-M, M]``, which must cover the
+    statistic's values, and ``sign`` the direction (``-1`` on signed-label
+    queries only). ``id``, ``evaluate`` and
     ``analytic_expectation`` all read these fields; queries compare and hash
     by them.
     """
@@ -105,8 +112,11 @@ class CoordinateQuery:
             raise ValidationError("truncation level must be positive")
         if not self.sigma_jj > 0:
             raise ValidationError("sigma_jj must be positive")
-        if not self.bound_M > 0:
-            raise ValidationError("bound_M must be positive")
+        if not self.bound_M >= _statistic_range(self.kind, self.trunc):
+            raise ValidationError(
+                f"bound_M {self.bound_M!r} is below the range "
+                f"{_statistic_range(self.kind, self.trunc)!r} of {self.kind} truncated at {self.trunc!r}"
+            )
         # formatted once: the honest arm reads 4d ids per dataset
         object.__setattr__(self, "id", _KINDS[self.kind].format("+" if self.sign > 0 else "-", self.j))
 
@@ -115,25 +125,41 @@ class CoordinateQuery:
         z = covariates[:, self.j] / math.sqrt(self.sigma_jj)
         if self.sign < 0:
             z = -z
-        return _truncated_statistic(self.kind, labels, z, self.trunc)
+        signs = 2.0 * labels - 1.0 if self.kind == "signed_label_mean" else None
+        return _truncated_statistic(self.kind, signs, z, np.abs(z) <= self.trunc)
+
+
+def _statistic_range(kind: str, trunc: float) -> float:
+    """The largest ``|value|`` a query of ``kind`` truncated at ``trunc`` takes."""
+    if kind == "coordinate_second_moment":
+        return max(1.0, trunc * trunc - 1.0)
+    return trunc
 
 
 def _truncated_statistic(
-    kind: str, labels: np.ndarray, z: np.ndarray, trunc: float
+    kind: str,
+    signs: np.ndarray | None,
+    z: np.ndarray,
+    inside: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-sample values of a coordinate query on standardized covariates ``z``.
 
     ``z`` is one column of shape ``(n,)`` or a block of shape ``(n, b)``,
-    one column per query; ``labels`` broadcasts against it. The values are
-    ``z 1{|z| <= trunc}``, ``(z^2 - 1) 1{|z| <= trunc}`` or
-    ``(2y - 1) z 1{|z| <= trunc}`` for the three kinds.
+    one column per query; ``inside`` is ``|z| <= trunc`` and ``signs`` the
+    labels as ``2y - 1`` (read by signed-label queries only), which
+    broadcast against ``z``. The values are
+    ``z 1{inside}``, ``(z^2 - 1) 1{inside}`` or ``(2y - 1) z 1{inside}`` for
+    the three kinds, written to ``out`` when it is given.
     """
-    inside = np.abs(z) <= trunc
     if kind == "coordinate_mean":
-        return z * inside
+        return np.multiply(z, inside, out=out)
     if kind == "coordinate_second_moment":
-        return (z * z - 1.0) * inside
-    return (2.0 * labels - 1.0) * z * inside
+        out = np.multiply(z, z, out=out)
+        np.subtract(out, 1.0, out=out)
+    else:
+        out = np.multiply(signs, z, out=out)
+    return np.multiply(out, inside, out=out)
 
 
 class CoordinateQueryFamily(tuple):
@@ -172,10 +198,12 @@ class CoordinateQueryFamily(tuple):
     def column_means(self, labels: np.ndarray, covariates: np.ndarray) -> np.ndarray:
         """The ``4d`` sample means in issue order, from one pass over column blocks.
 
-        Blocks hold about ``_BLOCK_ELEMENTS`` values, so no ``n x d``
-        temporary is made. Each block is Fortran-ordered: its column sums
-        run along contiguous memory and use the same pairwise summation as
-        a single column's sum.
+        A block holds about ``_BLOCK_ELEMENTS`` standardized values (one
+        column when ``n`` exceeds that). Its ``|z| <= trunc`` mask is made
+        once and the three statistics share one work buffer, so the pass
+        allocates three block-sized arrays in all. Every block is
+        Fortran-ordered: its column sums run along contiguous memory and use
+        the same pairwise summation as a single column's sum.
         """
         n, d = covariates.shape
         if d != self.scales.shape[0]:
@@ -183,14 +211,19 @@ class CoordinateQueryFamily(tuple):
                 f"covariates have {d} columns, the query family {self.scales.shape[0]}"
             )
         sums = np.empty((3, d))
-        y = labels[:, None]
-        width = max(1, _BLOCK_ELEMENTS // max(n, 1))
+        signs = (2.0 * labels - 1.0)[:, None]
+        width = min(d, max(1, _BLOCK_ELEMENTS // max(n, 1)))
+        z_block = np.empty((n, width), order="F")
+        work_block = np.empty((n, width), order="F")
+        inside_block = np.empty((n, width), dtype=bool, order="F")
         for lo in range(0, d, width):
             hi = min(lo + width, d)
-            z = np.divide(covariates[:, lo:hi], self.scales[lo:hi], order="F")
+            z = np.divide(covariates[:, lo:hi], self.scales[lo:hi], out=z_block[:, : hi - lo])
+            work = work_block[:, : hi - lo]
+            inside = np.less_equal(np.abs(z, out=work), self.trunc, out=inside_block[:, : hi - lo])
             for row, kind in enumerate(_KINDS):
-                stat = _truncated_statistic(kind, y, z, self.trunc)
-                sums[row, lo:hi] = np.add.reduce(stat, axis=0)
+                stat = _truncated_statistic(kind, signs, z, inside, out=work)
+                np.add.reduce(stat, axis=0, out=sums[row, lo:hi])
         # The "-" half is the sum of the negated "+" values: exactly -sum,
         # except that a zero sum stays +0.0 (numpy sums start from +0.0),
         # which 0.0 - sum gives and -sum does not.
@@ -324,9 +357,20 @@ def _standardized_components(q: CoordinateQuery, theta: ModelParams) -> list[tup
 
 def analytic_expectation(q: CoordinateQuery, theta: ModelParams) -> float:
     """Exact ``E_theta[q]``: the expectation of ``q.evaluate`` under ``theta``."""
-    t = q.trunc
-    components = _standardized_components(q, theta)
-    if q.kind == "coordinate_second_moment":
+    return _mixture_expectation(q.kind, q.trunc, tuple(_standardized_components(q, theta)))
+
+
+@functools.lru_cache(maxsize=_MIXTURE_CACHE_SIZE)
+def _mixture_expectation(
+    kind: str, t: float, components: tuple[tuple[float, float], ...]
+) -> float:
+    """``E[q]`` of a ``kind`` query truncated at ``t`` on a standardized mixture.
+
+    Memoised: a model pair's queries share a few distinct mixtures (every
+    coordinate off the signal support looks alike), and the closed form is
+    the costly part of an adversarial cell.
+    """
+    if kind == "coordinate_second_moment":
         total = 0.0
         for weight, mean in components:
             p, _, m2 = truncated_moments(mean, -t, t)

@@ -44,9 +44,11 @@ def between_class_differences(data: Dataset) -> np.ndarray:
     model. Returns ``m`` rows.
     """
     y = data.labels
-    x0 = data.covariates[y == 0]
-    x1 = data.covariates[y == 1]
-    m = min(len(x0), len(x1))
+    rows0 = np.flatnonzero(y == 0)
+    rows1 = np.flatnonzero(y == 1)
+    m = min(len(rows0), len(rows1))
     if m == 0:
         raise OneClassMissingError("both observed labels must be present to form class differences")
-    return x1[:m] - x0[:m]
+    diffs = data.covariates[rows1[:m]]
+    diffs -= data.covariates[rows0[:m]]
+    return diffs

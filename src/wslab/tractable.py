@@ -100,11 +100,12 @@ def build_queries(cfg: TractableConfig, sigma: np.ndarray | KnownCovariance) -> 
     moments, then ``2d`` signed-label means (all ``+`` directions, then all
     ``-``). Every query truncates its standardized coordinate at
     ``R sqrt(log d)``, which also bounds the mean queries; second-moment
-    queries are bounded by ``R^2 log d``.
+    queries take values in ``[-1, R^2 log d - 1]`` and are bounded by
+    ``max(1, R^2 log d)``.
     """
     diag = KnownCovariance.of(sigma, cfg.d).diag
     t = cfg.trunc_level
-    return CoordinateQueryFamily(diag, t, bound_mean=t, bound_var=cfg.R**2 * math.log(cfg.d))
+    return CoordinateQueryFamily(diag, t, bound_mean=t, bound_var=max(1.0, cfg.R**2 * math.log(cfg.d)))
 
 
 def default_oracle_config(cfg: TractableConfig) -> OracleConfig:

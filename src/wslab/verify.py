@@ -164,7 +164,7 @@ def _tolerance_checks(seed: int) -> list[CheckResult]:
             for n in (10, 1000):
                 for cap in (0.5, 5.0, 50.0):
                     c = OracleConfig(n=n, xi=math.exp(-cap), eta=0.0, budget_T=1)
-                    qq = CoordinateQuery("coordinate_mean", 0, 1.0, 1.0, bound_M=m)
+                    qq = CoordinateQuery("coordinate_mean", 0, m, 1.0, bound_M=m)
                     e = e_frac * m
                     b1 = cap * m / n
                     b2 = math.sqrt(2.0 * cap * (m * m - e * e) / n)

@@ -137,6 +137,40 @@ def test_sampling_reproducible_byte_for_byte():
     assert a.covariates.tobytes() == b.covariates.tobytes()
 
 
+def _ar1(d: int, rho: float) -> np.ndarray:
+    idx = np.arange(d)
+    return rho ** np.abs(np.subtract.outer(idx, idx)).astype(float)
+
+
+def _reference_sample(theta: model.ModelParams, n: int, rng: np.random.Generator):
+    # the sampler written out: latent coin, correlated normals, class means
+    # added by gathering the z = 1 rows, then the label flips
+    z = rng.integers(0, 2, size=n, dtype=np.int8)
+    x = rng.standard_normal((n, theta.d)) @ np.linalg.cholesky(theta.sigma).T
+    x = x + theta.mu0
+    x[z == 1] = x[z == 1] + (theta.mu1 - theta.mu0)
+    y = np.where(rng.random(n) >= (1.0 + theta.alpha) / 2.0, 1 - z, z)
+    return y, x, z
+
+
+@pytest.mark.parametrize(
+    "sigma, mu0, mu1",
+    [
+        (np.eye(5), np.zeros(5), np.full(5, 0.7)),
+        (np.eye(5), np.linspace(-1.0, 2.0, 5), np.linspace(-1.0, 2.0, 5) + [0.3, 0, 0, 0.3, 0]),
+        (_ar1(5, 0.3), np.full(5, 0.5), np.full(5, 0.5) + [0, 0.4, 0, 0, 0.4]),
+        (_ar1(5, 0.6), np.full(5, -0.25), np.full(5, -0.25)),  # null: no shift
+    ],
+)
+def test_sample_with_latent_matches_reference_bitwise(sigma, mu0, mu1):
+    theta = model.ModelParams(mu0, mu1, sigma, 0.4)
+    data, z = model.sample_with_latent(theta, 1001, stream(7, 1))
+    y_ref, x_ref, z_ref = _reference_sample(theta, 1001, stream(7, 1))
+    assert np.array_equal(z, z_ref)
+    assert np.array_equal(data.labels, y_ref)
+    assert data.covariates.tobytes() == x_ref.tobytes()
+
+
 def test_no_corruption_keeps_labels():
     theta = model.ModelParams(np.zeros(2), np.ones(2), np.eye(2), 1.0)
     data, z = model.sample_with_latent(theta, 2000, stream(2))

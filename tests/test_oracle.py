@@ -15,7 +15,7 @@ from conftest import stream
 
 def _bounded(m: float = 1.0) -> oracle.CoordinateQuery:
     # a tolerance reads only the query's bound
-    return oracle.CoordinateQuery("coordinate_mean", 0, 1.0, 1.0, bound_M=m)
+    return oracle.CoordinateQuery("coordinate_mean", 0, m, 1.0, bound_M=m)
 
 
 def test_tolerance_variance_branch_golden():
@@ -156,6 +156,33 @@ def test_unsupported_kind_rejected():
 def test_coordinate_query_rejects_an_inconsistent_description(kind, sign, bound):
     with pytest.raises(errors.ValidationError):
         oracle.CoordinateQuery(kind, 0, 1.0, 1.0, bound, sign=sign)
+
+
+@pytest.mark.parametrize(
+    "kind, trunc, bound",
+    [
+        ("coordinate_mean", 3.0, 1.0),  # |z| up to 3 under a declared 1
+        ("signed_label_mean", 2.0, 1.999),
+        ("coordinate_second_moment", 3.0, 7.9),  # z^2 - 1 reaches 8
+        ("coordinate_second_moment", 0.5, 0.75),  # z^2 - 1 reaches -1 at z = 0
+    ],
+)
+def test_coordinate_query_rejects_a_bound_below_its_range(kind, trunc, bound):
+    with pytest.raises(errors.ValidationError, match="below the range"):
+        oracle.CoordinateQuery(kind, 0, trunc, 1.0, bound)
+
+
+@pytest.mark.parametrize("d, R", [(2, 1.0), (3, 0.5), (40, 4.0), (1000, 4.5)])
+def test_family_values_stay_within_their_declared_bounds(d, R):
+    # at R = 1, d = 2 the variance bound R^2 log d = 0.69 was below the
+    # value -1 a second moment takes at z = 0
+    queries = build_queries(TractableConfig(d=d, n=10, R=R), np.eye(d))
+    t = queries.trunc
+    column = np.array([0.0, 0.5 * t, -t, t, np.nextafter(t, 0.0), 2.0 * t, -3.0 * t])
+    x = np.tile(column[:, None], (1, d))
+    labels = np.arange(len(column)) % 2
+    for q in queries:
+        assert np.abs(q.evaluate(labels, x)).max() <= q.bound_M, q
 
 
 def test_family_ids_follow_kind_sign_and_coordinate():
@@ -321,6 +348,22 @@ def test_adversarial_views_answer_from_the_assessed_expectations(monkeypatch):
         assert r1.value == (exact(q, theta1) if rec.flagged else r0.value)
 
 
+def test_memoised_expectations_equal_fresh_ones_bitwise():
+    # the memo keys on component means, where -0.0 == 0.0 (theta1 is -v/2,
+    # +v/2: off the support its means are -0.0 and 0.0); a shared entry must
+    # still answer every query exactly as a fresh evaluation would
+    theta0, theta1 = _pair(alpha=0.5, beta=1.0)
+    queries = build_queries(TractableConfig(d=4, n=200), np.eye(4))
+    fresh = oracle._mixture_expectation.__wrapped__
+    oracle._mixture_expectation.cache_clear()
+    for theta in (theta1, theta0, theta1):
+        for q in queries:
+            components = tuple(oracle._standardized_components(q, theta))
+            got = oracle.analytic_expectation(q, theta)
+            assert _bits(got) == _bits(fresh(q.kind, q.trunc, components)), q
+    assert oracle._mixture_expectation.cache_info().misses < 2 * len(queries)
+
+
 def test_adversarial_report_gap_vs_tolerance_fields():
     theta0, theta1 = _pair(alpha=0.5, beta=0.3)
     cfg = TractableConfig(d=4, n=200)
@@ -368,15 +411,22 @@ def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
+_BLOCK = oracle._BLOCK_ELEMENTS
+
+
 @pytest.mark.parametrize(
-    "d, n, spread",
+    "d, n, spread, blocks, tail",
     [
-        (50, 3001, 3.0),  # odd n; 43-column blocks leave a 7-column tail
-        (3, 70_001, 3.0),  # a block holds a single column
-        (7, 2000, 1.0),  # one block
+        # odd n; two full blocks and a 7-column tail
+        pytest.param(2 * (_BLOCK // 3001) + 7, 3001, 3.0, 3, 7, id="partial-tail"),
+        pytest.param(3, _BLOCK + 1, 3.0, 3, 1, id="column-per-block"),
+        # exactly full
+        pytest.param(_BLOCK // 2000, 2000, 1.0, 1, _BLOCK // 2000, id="single-block"),
     ],
 )
-def test_blocked_family_equals_per_query_path_bitwise(d, n, spread):
+def test_blocked_family_equals_per_query_path_bitwise(d, n, spread, blocks, tail):
+    width = max(1, _BLOCK // n)  # the blocking column_means uses
+    assert (-(-d // width), d - (blocks - 1) * width) == (blocks, tail)
     rng = stream(61, d)
     diag = np.resize([0.25, 1.0, 4.0, 2.5], d)  # non-unit variances
     cfg = TractableConfig(d=d, n=n)

@@ -88,6 +88,22 @@ def test_class_differences_one_class_missing():
         pairing.between_class_differences(data)
 
 
+@pytest.mark.parametrize("rho, alpha", [(0.0, 0.5), (0.0, 0.0), (0.4, 1.0)])
+def test_class_differences_match_reference_bitwise(rho, alpha):
+    d = 6
+    idx = np.arange(d)
+    sigma = rho ** np.abs(np.subtract.outer(idx, idx)).astype(float)
+    mu0 = np.linspace(-1.0, 1.0, d)  # a dense shared mean the differencing removes
+    theta = model.ModelParams(mu0, mu0 + 0.5, sigma, alpha)
+    data = model.sample_dataset(theta, 777, stream(16, int(10 * rho), int(10 * alpha)))
+    x0 = data.covariates[data.labels == 0]
+    x1 = data.covariates[data.labels == 1]
+    m = min(len(x0), len(x1))
+    u = pairing.between_class_differences(data)
+    assert u.flags.c_contiguous
+    assert u.tobytes() == (x1[:m] - x0[:m]).tobytes()
+
+
 def test_class_difference_mean_matches_supervision_level():
     # E[u] = alpha * (mu1 - mu0)
     beta, alpha, n = 0.4, 0.5, 100_000
