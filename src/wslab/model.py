@@ -40,6 +40,11 @@ MAX_CONDITION_NUMBER = 1e12
 
 _SYMMETRY_ATOL = 1e-12
 
+# float64 values per row block of a correlated draw (512 KiB): each block is
+# drawn into one buffer and multiplied into place, so sampling never holds a
+# second n x d array (smaller blocks made the product slower at d=200)
+_BLOCK_VALUES = 1 << 16
+
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
@@ -257,9 +262,16 @@ def sample_with_latent(
     if n < 1:
         raise ValidationError(f"need n >= 1 samples, got {n}")
     z = rng.integers(0, 2, size=n, dtype=np.int8)
-    x = rng.standard_normal((n, theta.d))
-    if not theta.cov.is_identity:
-        x = x @ theta.cov.chol.T
+    if theta.cov.is_identity:
+        x = rng.standard_normal((n, theta.d))
+    else:
+        x = np.empty((n, theta.d))
+        buf = np.empty((min(n, max(1, _BLOCK_VALUES // theta.d)), theta.d))
+        for start in range(0, n, len(buf)):
+            block = x[start : start + len(buf)]
+            draw = buf[: len(block)]
+            rng.standard_normal(out=draw)
+            np.matmul(draw, theta.cov.chol.T, out=block)
     if theta.mu0.any():
         x += theta.mu0
     shift = theta.mu1 - theta.mu0

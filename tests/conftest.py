@@ -16,5 +16,11 @@ def spd_matrix(rng: np.random.Generator, d: int, lo: float = 0.5, hi: float = 2.
     return (m + m.T) / 2.0
 
 
+def ar1(d: int, rho: float) -> np.ndarray:
+    """Dense AR(1) covariance with entries ``rho ** |i - j|``."""
+    idx = np.arange(d)
+    return rho ** np.abs(np.subtract.outer(idx, idx)).astype(float)
+
+
 def stream(*key: int) -> np.random.Generator:
     return spawn_rng(20260808, *key)

@@ -1,14 +1,15 @@
 import math
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from wslab import errors, exhaustive, model
+from wslab.pairing import whitened_pair_differences
 from wslab.seeding import spawn_rng
 
-from conftest import spd_matrix, stream
+from conftest import ar1, spd_matrix, stream
 
 
 def test_single_sample_golden():
@@ -170,6 +171,85 @@ def test_ties_go_to_the_lexicographically_first_support():
     stat, support = exhaustive.sparse_variance_statistic(w, np.eye(50), 3)
     assert stat == pytest.approx(6.0, rel=1e-12)  # 3 * 4 / 2
     assert support == (0, 18, 30)
+
+
+def _solve_every_support(w, sigma, s, batch=4096):
+    # reference: the unpruned batched loop, every support's pencil reduced
+    # through cholesky(B_S) and solved exactly, first maximum wins
+    cov = model.KnownCovariance.of(sigma)
+    y = w if cov.is_identity else w @ cov.inv_sqrt
+    g = (y.T @ y) / w.shape[0]
+    b = cov.twice_precision
+    best, best_support = -math.inf, ()
+    supports = combinations(range(w.shape[1]), s)
+    while (idx := np.fromiter(islice(supports, batch), dtype=(np.intp, s))).size:
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        chol = np.linalg.cholesky(b[rows, cols])
+        half = np.linalg.solve(chol, g[rows, cols])
+        lam = np.linalg.eigvalsh(np.linalg.solve(chol, half.swapaxes(1, 2)))[:, -1]
+        j = int(np.argmax(lam))
+        if lam[j] > best:
+            best, best_support = float(lam[j]), tuple(idx[j].tolist())
+    return best, best_support
+
+
+def _ill_conditioned(d):
+    # random eigenvectors, eigenvalues spread geometrically over [1, 1e8]
+    q, _ = np.linalg.qr(stream(33, d).standard_normal((d, d)))
+    m = (q * np.geomspace(1.0, 1e8, d)) @ q.T
+    return (m + m.T) / 2.0
+
+
+_SIGMAS = {
+    "identity": np.eye,
+    "ar1-0.3": lambda d: ar1(d, 0.3),
+    "ar1-0.9": lambda d: ar1(d, 0.9),
+    "kappa-1e8": _ill_conditioned,
+}
+
+
+def _pair_differences(cov, planted, n, seed):
+    # whitened pair differences of a null draw, or of a draw whose classes
+    # split on three coordinates
+    shift = np.zeros(cov.d)
+    if planted:
+        shift[[0, cov.d // 2, cov.d - 1]] = 1.5
+    theta = model.ModelParams(-shift / 2.0, shift / 2.0, cov, 1.0)
+    return whitened_pair_differences(model.sample_dataset(theta, n, stream(34, seed)), cov)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("sigma_kind", sorted(_SIGMAS))
+@pytest.mark.parametrize("d, s", [(24, 3), (16, 4), (13, 5), (4, 3), (5, 4), (6, 5)])
+def test_pruned_search_equals_solving_every_support(d, s, sigma_kind, planted):
+    # bitwise: the bound only filters, so the value and support are the
+    # exhaustive loop's; the last three sizes have fewer supports than the
+    # search solves before it prunes
+    cov = model.KnownCovariance(_SIGMAS[sigma_kind](d))
+    w = _pair_differences(cov, planted, 400, d * 10 + s)
+    stat, support = exhaustive.sparse_variance_statistic(w, cov, s)
+    assert (stat, support) == _solve_every_support(w, cov, s)
+
+
+def test_every_support_tied_gives_the_first():
+    w = np.repeat(stream(35).standard_normal((100, 1)), 12, axis=1)
+    stat, support = exhaustive.sparse_variance_statistic(w, np.eye(12), 4)
+    assert (stat, support) == _solve_every_support(w, np.eye(12), 4)
+    assert support == (0, 1, 2, 3)
+
+
+def test_null_search_solves_few_supports_exactly(monkeypatch):
+    d, s = 40, 3
+    cov = model.KnownCovariance(ar1(d, 0.3))
+    w = _pair_differences(cov, False, 2000, 0)
+    solved = []
+    exact = exhaustive._exact_values
+    monkeypatch.setattr(
+        exhaustive, "_exact_values", lambda g, b, idx: solved.append(len(idx)) or exact(g, b, idx)
+    )
+    stat, support = exhaustive.sparse_variance_statistic(w, cov, s)
+    assert sum(solved) <= 0.01 * math.comb(d, s)
+    assert (stat, support) == _solve_every_support(w, cov, s)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])

@@ -2,19 +2,24 @@
 
 numpy reports its array buffers to tracemalloc, so the traced peak of a call
 is the most memory its temporaries and result held at once. These bounds pin
-that the query family's pass works in cache-sized blocks and that sampling
-makes no transient ``n x d`` copy, without timing anything.
+that the query family's pass and the variance search work in cache-sized
+blocks, that sampling makes no transient ``n x d`` copy, and that the
+search's support plan has its stated size and dies with its covariance,
+without timing anything.
 """
 
+import gc
+import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from wslab import model, oracle
+from wslab import exhaustive, model, oracle
 from wslab.tractable import TractableConfig, build_queries
 
-from conftest import stream
+from conftest import ar1, stream
 
 _FLOAT = np.dtype(float).itemsize
 
@@ -44,3 +49,35 @@ def test_sampling_makes_no_transient_copy():
     theta = model.ModelParams(mu0, mu0 + np.r_[np.ones(4), np.zeros(d - 4)], np.eye(d), 0.5)
     peak = _traced_peak(lambda: model.sample_dataset(theta, n, stream(91)))
     assert peak <= 1.25 * n * d * _FLOAT
+
+
+def test_correlated_sampling_makes_no_transient_copy():
+    d, n = 200, 20_000
+    theta = model.ModelParams(np.full(d, 0.1), np.zeros(d), ar1(d, 0.3), 0.5)
+    peak = _traced_peak(lambda: model.sample_dataset(theta, n, stream(92)))
+    assert peak <= 1.25 * n * d * _FLOAT
+
+
+@pytest.mark.parametrize("d, s", [(40, 3), (16, 5)])
+def test_support_plan_holds_indices_and_inverse_factors_only(d, s):
+    plan = exhaustive._support_plan(model.KnownCovariance(ar1(d, 0.3)), s)
+    assert sum(a.nbytes for a in plan) == math.comb(d, s) * s * (s + 1) * _FLOAT
+
+
+def test_support_plan_dies_with_its_covariance():
+    cov = model.KnownCovariance(ar1(12, 0.3))
+    exhaustive.sparse_variance_statistic(stream(93).standard_normal((50, 12)), cov, 3)
+    plan = weakref.ref(exhaustive._support_plan(cov, 3).inv_chol_t)
+    assert plan() is not None
+    del cov
+    gc.collect()
+    assert plan() is None
+
+
+def test_warm_variance_search_stays_within_a_few_batches():
+    d, s = 40, 3
+    cov = model.KnownCovariance(ar1(d, 0.3))
+    w = stream(94).standard_normal((200, d))
+    exhaustive.sparse_variance_statistic(w, cov, s)  # builds the plan
+    peak = _traced_peak(lambda: exhaustive.sparse_variance_statistic(w, cov, s))
+    assert peak <= 4 * _FLOAT * exhaustive._BATCH_VALUES

@@ -171,6 +171,20 @@ def test_sample_with_latent_matches_reference_bitwise(sigma, mu0, mu1):
     assert data.covariates.tobytes() == x_ref.tobytes()
 
 
+@pytest.mark.parametrize("d, n", [(64, 3001), (200, 2000)])
+def test_row_blocked_sampling_matches_one_full_draw_bitwise(d, n):
+    # several row blocks, the last one partial: drawing and transforming
+    # block by block gives the bytes of one n x d draw and one product
+    assert n * d > 2 * model._BLOCK_VALUES
+    mu0 = np.full(d, 0.2)
+    theta = model.ModelParams(mu0, mu0 + np.r_[0.5, np.zeros(d - 1)], _ar1(d, 0.5), 0.4)
+    data, z = model.sample_with_latent(theta, n, stream(7, 2))
+    y_ref, x_ref, z_ref = _reference_sample(theta, n, stream(7, 2))
+    assert np.array_equal(z, z_ref)
+    assert np.array_equal(data.labels, y_ref)
+    assert data.covariates.tobytes() == x_ref.tobytes()
+
+
 def test_no_corruption_keeps_labels():
     theta = model.ModelParams(np.zeros(2), np.ones(2), np.eye(2), 1.0)
     data, z = model.sample_with_latent(theta, 2000, stream(2))
