@@ -265,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tests", type=str, default=None,
                            help="comma-separated subset of " + ",".join(SWEEP_TESTS))
         if name == "verify":
-            p.add_argument("--suite", nargs="*", default=None, choices=sorted(SUITES))
+            p.add_argument("--suite", nargs="+", default=None, choices=sorted(SUITES))
     return parser
 
 

@@ -34,12 +34,7 @@ from .model import AltSpec, Dataset, KnownCovariance, ModelParams
 from .model import make_restricted_alternative, sample_dataset
 from .oracle import AdversarialPairOracle, EmpiricalOracle, GapRecord, OraclePolicy
 from .seeding import spawn_rng
-from .tractable import (
-    TractableConfig,
-    build_queries,
-    decisions_from_responses,
-    default_oracle_config,
-)
+from .tractable import TractableConfig, default_oracle_config, run_tractable_test
 
 __all__ = [
     "RiskEstimate",
@@ -141,18 +136,6 @@ def exhaustive_procedure(
     return statistics, thresholds.levels
 
 
-def _query_test(cfg: TractableConfig, cov: KnownCovariance) -> tuple[Callable, tuple[float, float]]:
-    """The query test as ``(statistics, levels)`` over an oracle policy, with
-    the ``4d`` family built once, here."""
-    queries = build_queries(cfg, cov)
-
-    def statistics(oracle: OraclePolicy) -> tuple[float, float]:
-        result = decisions_from_responses(oracle.query_all(queries), cfg)
-        return result.diagonal.statistic, result.signed.statistic
-
-    return statistics, cfg.levels
-
-
 @dataclass(frozen=True)
 class SweepGrid:
     """A rectangular (alpha, gamma) grid with fixed problem sizes."""
@@ -174,8 +157,8 @@ class SweepGrid:
             raise ValidationError("empty alpha grid")
         if not gammas:
             raise ValidationError("empty gamma grid")
-        if list(alphas) != sorted(alphas) or list(gammas) != sorted(gammas):
-            raise ValidationError("grid values must be sorted ascending")
+        if any(hi <= lo for values in (alphas, gammas) for lo, hi in zip(values, values[1:])):
+            raise ValidationError("grid values must be sorted ascending, without repeats")
         if not all(np.isfinite(alphas)) or not all(np.isfinite(gammas)):
             raise ValidationError("grid values must be finite")
         if any(g < 0 for g in gammas):
@@ -265,10 +248,14 @@ def sweep_phase_diagram(
     thresholds = default_thresholds(grid.d, grid.s, max(grid.n // 2, 1), cov)
     tcfg = TractableConfig(d=grid.d, n=grid.n, R=R, C=C, xi=xi)
     ocfg = default_oracle_config(tcfg)
-    queried, query_levels = _query_test(tcfg, cov)
+
+    def queried(oracle: OraclePolicy) -> tuple[float, float]:
+        result = run_tractable_test(oracle, tcfg, cov)
+        return result.diagonal.statistic, result.signed.statistic
+
     monte_carlo = {
         "exhaustive": exhaustive_procedure(cov, grid.s, thresholds),
-        "tractable_honest": (lambda data: queried(EmpiricalOracle(data, ocfg)), query_levels),
+        "tractable_honest": (lambda data: queried(EmpiricalOracle(data, ocfg)), tcfg.levels),
     }
     sampled = {name: monte_carlo[name] for name in tests if name in monte_carlo}
 
@@ -298,7 +285,7 @@ def sweep_phase_diagram(
                 else:
                     # analytic expectations and no draws: one row per arm settles every trial
                     adv = AdversarialPairOracle(theta0, theta1, ocfg)
-                    est = _risk([queried(adv.policy(0))], [queried(adv.policy(1))], query_levels, grid.trials)
+                    est = _risk([queried(adv.policy(0))], [queried(adv.policy(1))], tcfg.levels, grid.trials)
                 rows.append(
                     SweepRow(
                         alpha=alpha,
@@ -383,18 +370,15 @@ def oracle_demo(
     theta1 = theta0 if beta == 0.0 else make_restricted_alternative(
         AltSpec(support=tuple(range(s)), beta=beta, d=d), alpha
     )
-    ocfg = default_oracle_config(cfg)
-    adv = AdversarialPairOracle(theta0, theta1, ocfg)
-    queries = build_queries(cfg, eye)
-    # the model-0 transcript assesses every query, in issue order
-    transcript0 = adv.policy(0).query_all(queries)
-    transcript1 = adv.policy(1).query_all(queries)
-    identical = all(a.value == b.value for a, b in zip(transcript0, transcript1))
+    adv = AdversarialPairOracle(theta0, theta1, default_oracle_config(cfg))
+    # the model-0 run assesses every query, in issue order
+    null = run_tractable_test(adv.policy(0), cfg, eye)
+    alt = run_tractable_test(adv.policy(1), cfg, eye)
     return OracleDemoReport(
         records=tuple(adv.report),
-        transcripts_identical=identical,
-        reject_null=decisions_from_responses(transcript0, cfg).reject,
-        reject_alt=decisions_from_responses(transcript1, cfg).reject,
+        transcripts_identical=all(a.value == b.value for a, b in zip(null.transcript, alt.transcript)),
+        reject_null=null.reject,
+        reject_alt=alt.reject,
     )
 
 

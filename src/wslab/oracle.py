@@ -172,7 +172,7 @@ class CoordinateQueryFamily(tuple):
     ``bound_mean``, the second moments by ``bound_var``. Each element is a
     ``CoordinateQuery`` whose ``evaluate`` makes its own pass over one
     column; ``column_means`` answers the whole family in one pass over
-    column blocks, with the same values bit for bit.
+    column blocks, with the same values bit for bit. Families are immutable.
     """
 
     def __new__(
@@ -191,9 +191,14 @@ class CoordinateQueryFamily(tuple):
             for j in range(diag.shape[0])
         ]
         family = super().__new__(cls, queries)
-        family.scales = np.sqrt(diag)
-        family.trunc = trunc
+        scales = np.sqrt(diag)
+        scales.setflags(write=False)
+        object.__setattr__(family, "scales", scales)
+        object.__setattr__(family, "trunc", trunc)
         return family
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def column_means(self, labels: np.ndarray, covariates: np.ndarray) -> np.ndarray:
         """The ``4d`` sample means in issue order, from one pass over column blocks.

@@ -16,6 +16,7 @@ only, so replaying a recorded transcript reproduces them exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,9 +102,14 @@ def build_queries(cfg: TractableConfig, sigma: np.ndarray | KnownCovariance) -> 
     ``-``). Every query truncates its standardized coordinate at
     ``R sqrt(log d)``, which also bounds the mean queries; second-moment
     queries take values in ``[-1, R^2 log d - 1]`` and are bounded by
-    ``max(1, R^2 log d)``.
+    ``max(1, R^2 log d)``. One immutable family is built per ``(cfg, diag
+    Sigma)``, the only inputs it depends on, and shared by every caller.
     """
-    diag = KnownCovariance.of(sigma, cfg.d).diag
+    return _query_family(cfg, tuple(KnownCovariance.of(sigma, cfg.d).diag.tolist()))
+
+
+@functools.lru_cache(maxsize=8)  # a sweep uses one family
+def _query_family(cfg: TractableConfig, diag: tuple[float, ...]) -> CoordinateQueryFamily:
     t = cfg.trunc_level
     return CoordinateQueryFamily(diag, t, bound_mean=t, bound_var=max(1.0, cfg.R**2 * math.log(cfg.d)))
 

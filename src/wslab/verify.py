@@ -188,6 +188,8 @@ SUITES: dict[str, Callable[[int], list[CheckResult]]] = {
 
 
 def run_suites(names: Sequence[str], seed: int = 0) -> list[CheckResult]:
+    if not names:
+        raise ValidationError("suites must name at least one suite")
     results: list[CheckResult] = []
     for name in names:
         try:

@@ -239,6 +239,22 @@ def test_sweep_alpha_out_of_range_exits_2_before_any_cell(tmp_path, capsys, monk
     assert cells == []
 
 
+@pytest.mark.parametrize("grid", [{"alpha": [0.5, 0.5], "gamma": [1.0]}, {"alpha": [0.5], "gamma": [1.0, 1.0]}])
+def test_sweep_repeated_grid_value_exits_2_before_any_cell(grid, tmp_path, capsys, monkeypatch):
+    # a repeated value used to give two rows for one (alpha, gamma, test),
+    # and the SVG drew only one of them
+    from wslab import experiments
+
+    cells = []
+    real = experiments._cell_models
+    monkeypatch.setattr(experiments, "_cell_models", lambda *a: cells.append(a) or real(*a))
+    cfg = _sweep_config(tmp_path, d=6, n=100, trials=3, seed=1, tests=["exhaustive"], **grid)
+    out, svg = tmp_path / "r.csv", tmp_path / "r.svg"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--svg", str(svg)]) == 2
+    assert "repeats" in capsys.readouterr().err
+    assert cells == [] and not out.exists() and not svg.exists()
+
+
 def test_sweep_combinatorial_budget_exits_3(tmp_path, capsys):
     cfg = _sweep_config(tmp_path, s=5, d=60, n=40)
     code = cli.main(["sweep", "--config", cfg])
@@ -278,6 +294,19 @@ def test_verify_fast_suites_pass(tmp_path, capsys):
     assert ",1," in out  # at least one passing check row
 
 
+def test_verify_empty_suite_list_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "v.json", {"suites": []})
+    out = tmp_path / "v.csv"
+    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert "at least one suite" in capsys.readouterr().err
+    assert not out.exists()
+    # --suite with no names is a usage error, not "every suite"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_verify_corrupted_check_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(
         SUITES,
@@ -304,6 +333,20 @@ def test_oracle_demo_verdicts(tmp_path, capsys):
     )
     assert cli.main(["oracle-demo", "--config", cfg2, "--out", str(tmp_path / "d2.csv")]) == 0
     assert "verdict: distinguishable" in capsys.readouterr().out
+
+
+# sha256 of the CSV below as written before the demo ran through
+# run_tractable_test; any change to a gap, a tolerance or the query order
+# changes it
+_GOLDEN_DEMO_SHA256 = "823b48a57acce7596018ba470388e17fb4028c0c1345c4d6b9ea20defc129960"
+
+
+def test_oracle_demo_csv_matches_golden(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "demo.json", {"d": 12, "s": 3, "n": 3000, "alpha": 0.8, "beta": 0.9, "R": 2.0})
+    out = tmp_path / "demo.csv"
+    assert cli.main(["oracle-demo", "--config", cfg, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_DEMO_SHA256
+    assert "(6 of 48 queries flagged; transcripts identical: False)" in capsys.readouterr().out
 
 
 def test_oracle_demo_missing_beta_exits_2(tmp_path, capsys):

@@ -101,6 +101,19 @@ def test_statistic_matches_bruteforce_supremum(d, s, seed):
     assert vals[-1] == pytest.approx(stat, rel=1e-9)
 
 
+@pytest.mark.parametrize("d", [12, 20, 50])
+def test_full_support_is_the_whole_pencil(d):
+    # s = d leaves one support, so the search solves the full d x d pencil
+    sigma = ar1(d, 0.5)
+    delta = stream(36, d).standard_normal((300, d)) @ (np.linalg.cholesky(sigma).T * math.sqrt(2))
+    w = delta @ pairing_inverse_sqrt(sigma)
+    stat, support = exhaustive.sparse_variance_statistic(w, model.KnownCovariance(sigma), d)
+    siv = scipy.linalg.inv(sigma)
+    g = np.linalg.multi_dot([siv, delta.T @ delta / delta.shape[0], siv])
+    assert support == tuple(range(d))
+    assert stat == pytest.approx(scipy.linalg.eigh(g, 2.0 * siv, eigvals_only=True)[-1], rel=1e-12)
+
+
 def pairing_inverse_sqrt(sigma):
     return model.KnownCovariance(sigma).inv_sqrt
 

@@ -85,15 +85,27 @@ def test_sweep_pairs_match_the_per_dataset_decisions():
     assert tuple(levels) == tuple(r.threshold for r in pairs)
     assert levels == (1.0 + thresholds.tau1, thresholds.tau2)
 
+    # the honest arm: a single-cell sweep row counts the run_tractable_test
+    # statistics of its datasets against the results' own thresholds
+    grid = _grid([1.0], [10.0], trials=8, d=d, s=s, n=n)
+    (row,) = experiments.sweep_phase_diagram(grid, tests=("tractable_honest",), sigma=cov, R=1.0, C=2.0)
     tcfg = tractable.TractableConfig(d=d, n=n, R=1.0, C=2.0)
     ocfg = tractable.default_oracle_config(tcfg)
-    statistics, levels = experiments._query_test(tcfg, cov)
-    queries = tractable.build_queries(tcfg, cov)
-    result = tractable.decisions_from_responses(EmpiricalOracle(data, ocfg).query_all(queries), tcfg)
-    pairs = [result.diagonal, result.signed]
-    assert tuple(statistics(EmpiricalOracle(data, ocfg))) == tuple(r.statistic for r in pairs)
-    assert tuple(levels) == tuple(r.threshold for r in pairs)
-    assert levels == (tcfg.C * tcfg.tau_var, 2.0 * tcfg.tau_mean)
+    _, theta1, _ = experiments._cell_models(grid, 0, 0, 0.0, cov)
+    theta0 = model.ModelParams(np.zeros(d), np.zeros(d), cov, 1.0)
+    rows = []
+    for theta, key in ((theta0, (experiments._NULL_KEY,)), (theta1, (experiments._TRIALS_KEY, 0, 0))):
+        results = [
+            tractable.run_tractable_test(
+                EmpiricalOracle(model.sample_dataset(theta, n, spawn_rng(grid.seed, *key, t)), ocfg), tcfg, cov
+            )
+            for t in range(grid.trials)
+        ]
+        assert {(r.diagonal.threshold, r.signed.threshold) for r in results} == {tcfg.levels}
+        rows.append([(r.diagonal.statistic, r.signed.statistic) for r in results])
+    est = experiments._risk(*rows, tcfg.levels, grid.trials)
+    assert (row.type1, row.type2) == (est.type1, est.type2) == (0.0, 3 / 8)
+    assert tcfg.levels == (tcfg.C * tcfg.tau_var, 2.0 * tcfg.tau_mean)
 
 
 def test_half_width_formula():
@@ -127,6 +139,10 @@ def test_grid_validation():
         _grid([], [0.1])
     with pytest.raises(errors.ValidationError, match="sorted"):
         _grid([0.5, 0.1], [0.1])
+    with pytest.raises(errors.ValidationError, match="repeats"):
+        _grid([0.5, 0.5], [0.1])
+    with pytest.raises(errors.ValidationError, match="repeats"):
+        _grid([0.5], [0.1, 0.1])
     with pytest.raises(errors.ValidationError):
         _grid([0.5], [-0.1])
 

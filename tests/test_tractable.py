@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from wslab import errors, model, oracle, tractable
 from wslab.seeding import spawn_rng
 
-from conftest import stream
+from conftest import ar1, stream
 
 
 def _cfg(d=6, n=1000, R=4.0, C=8.0, xi=None):
@@ -19,6 +19,22 @@ def test_query_count_is_4d():
     for d in (3, 7):
         cfg = _cfg(d=d)
         assert len(tractable.build_queries(cfg, np.eye(d))) == 4 * d
+
+
+def test_query_family_is_built_once_per_config_and_diagonal():
+    scale = np.sqrt(np.arange(1.0, 7.0))
+    sigma = ar1(6, 0.5) * np.outer(scale, scale)
+    family = tractable.build_queries(_cfg(), sigma)
+    # an equal config, a KnownCovariance, or another Sigma with that diagonal: one family
+    assert tractable.build_queries(_cfg(), model.KnownCovariance(sigma)) is family
+    assert tractable.build_queries(_cfg(), np.diag(np.diag(sigma))) is family
+    for cfg, other in [(_cfg(d=7), np.eye(7)), (_cfg(R=2.0), sigma), (_cfg(), sigma * 2.0)]:
+        assert tractable.build_queries(cfg, other) is not family
+    assert not family.scales.flags.writeable
+    with pytest.raises(ValueError):
+        family.scales[0] = 1.0
+    with pytest.raises(AttributeError):
+        family.trunc = 1.0
 
 
 def test_xi_defaults_to_inverse_dimension():
