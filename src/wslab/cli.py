@@ -94,10 +94,17 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    if getattr(args, "tests", None):
+    if getattr(args, "tests", None) is not None:
         cfg["tests"] = [t.strip() for t in args.tests.split(",") if t.strip()]
     if getattr(args, "suite", None):
         cfg["suites"] = list(args.suite)
+    # an output path that cannot be written fails here, before anything runs
+    for key in ("out", "svg"):
+        path = cfg[key]
+        if path is not None and (path == "" or Path(path).is_dir()):
+            raise ConfigError(f"{key} must name a file, got {json.dumps(path)}")
+        if path and not Path(path).parent.is_dir():
+            raise ConfigError(f"{key} {path}: directory {Path(path).parent} does not exist")
     return cfg
 
 
@@ -196,7 +203,7 @@ def cmd_sweep(cfg: dict) -> int:
     gammas = _gamma_grid(cfg)
     rows = _run_sweep(cfg, alphas, gammas)
     _emit(sweep_rows_to_csv(rows, _header("sweep", cfg)), cfg["out"])
-    if cfg["svg"]:
+    if cfg["svg"] is not None:
         Path(cfg["svg"]).write_text(render_heatmap_svg(rows))
         log.info("wrote %s", cfg["svg"])
     return 0

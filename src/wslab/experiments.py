@@ -14,10 +14,11 @@ Conventions
   every Monte Carlo test sees the same datasets, so results do not depend on
   execution order or on which other tests run.
 * Risk at a grid point is evaluated at a representative model pair (a null
-  with a configurable mean and one seeded sparse alternative whose
-  separation equals ``gamma`` exactly; for identity covariance its
+  with a configurable mean and one seeded sparse alternative centred on it
+  whose separation equals ``gamma`` exactly; for identity covariance its
   per-coordinate signal is ``sqrt(gamma / s)``), not as a supremum over
-  parameter spaces.
+  parameter spaces. The null law does not depend on alpha, so the sweep
+  builds one null for every cell and every test.
 """
 
 from __future__ import annotations
@@ -193,23 +194,18 @@ _NULL_KEY = 303
 
 def _cell_models(
     grid: SweepGrid, ia: int, ig: int, null_mu_scale: float, cov: KnownCovariance
-) -> tuple[ModelParams, ModelParams, float]:
-    alpha = grid.alpha_values[ia]
-    gamma = grid.gamma_values[ig]
-    mu = np.full(grid.d, null_mu_scale)
-    theta0 = ModelParams(mu0=mu, mu1=mu, sigma=cov, alpha=alpha)
-    if gamma == 0.0:
-        return theta0, ModelParams(mu0=mu, mu1=mu, sigma=cov, alpha=alpha), 0.0
+) -> tuple[ModelParams, float]:
+    """A cell's alternative, centred on the null mean, and its per-coordinate signal ``beta``."""
     rng = spawn_rng(grid.seed, _SUPPORT_KEY, ia, ig)
     support = sorted(int(j) for j in rng.choice(grid.d, size=grid.s, replace=False))
     indicator = np.zeros(grid.d)
     indicator[support] = 1.0
     # per-coordinate signal chosen so the separation hits gamma exactly;
     # for identity covariance this is sqrt(gamma / s)
-    beta = math.sqrt(gamma / float(indicator @ np.linalg.solve(cov.sigma, indicator)))
+    beta = math.sqrt(grid.gamma_values[ig] / float(indicator @ np.linalg.solve(cov.sigma, indicator)))
     v = beta * indicator
-    theta1 = ModelParams(mu0=-v / 2.0, mu1=v / 2.0, sigma=cov, alpha=alpha)
-    return theta0, theta1, beta
+    mu = np.full(grid.d, null_mu_scale)
+    return ModelParams(mu0=mu - v / 2.0, mu1=mu + v / 2.0, sigma=cov, alpha=grid.alpha_values[ia]), beta
 
 
 def sweep_phase_diagram(
@@ -230,10 +226,11 @@ def sweep_phase_diagram(
     by default), validated and factored once for the whole sweep; its
     condition number enters the exhaustive thresholds. The Monte Carlo
     tests share their datasets: ``trials`` null datasets for the whole sweep
-    and ``trials`` alternative datasets per cell, so each test's type-I is
-    one estimate repeated in every row. Rows come back in (alpha, gamma,
-    test) order. The sweep runs serially; ``threads`` is validated but has
-    no effect.
+    and ``trials`` alternative datasets per cell. The adversarial test runs
+    one model-0 transcript for the whole sweep and one model-1 transcript
+    per cell. So each test's type-I is one estimate repeated in every row.
+    Rows come back in (alpha, gamma, test) order. The sweep runs serially;
+    ``threads`` is validated but has no effect.
     """
     if not tests:
         raise ValidationError("tests must name at least one test")
@@ -253,39 +250,41 @@ def sweep_phase_diagram(
         result = run_tractable_test(oracle, tcfg, cov)
         return result.diagonal.statistic, result.signed.statistic
 
+    exhaustive_statistics, exhaustive_levels = exhaustive_procedure(cov, grid.s, thresholds)
     monte_carlo = {
-        "exhaustive": exhaustive_procedure(cov, grid.s, thresholds),
-        "tractable_honest": (lambda data: queried(EmpiricalOracle(data, ocfg)), tcfg.levels),
+        "exhaustive": exhaustive_statistics,
+        "tractable_honest": lambda data: queried(EmpiricalOracle(data, ocfg)),
     }
-    sampled = {name: monte_carlo[name] for name in tests if name in monte_carlo}
-
-    def statistic_rows(theta: ModelParams, *key: int) -> dict[str, list]:
-        # one dataset per trial, handed to every sampled test and then dropped
-        if not sampled:
-            return {}
-        stats: dict[str, list] = {name: [] for name in sampled}
-        for trial in range(grid.trials):
-            data = sample_dataset(theta, grid.n, spawn_rng(grid.seed, *key, trial))
-            for name, (statistics, _) in sampled.items():
-                stats[name].append(statistics(data))
-        return stats
+    sampled = [name for name in tests if name in monte_carlo]
+    # every arm's levels; the adversarial arm is judged as the honest test
+    levels = {"exhaustive": exhaustive_levels, "tractable_honest": tcfg.levels}
+    levels["tractable_adversarial"] = levels["tractable_honest"]
 
     # alpha = 1 draws the null's fair-coin label as the class coin itself
     mu = np.full(grid.d, null_mu_scale)
-    null_rows = statistic_rows(ModelParams(mu0=mu, mu1=mu, sigma=cov, alpha=1.0), _NULL_KEY)
+    null = ModelParams(mu0=mu, mu1=mu, sigma=cov, alpha=1.0)
 
+    def statistic_rows(theta: ModelParams, true_model: int, *key: int) -> dict[str, list]:
+        # one dataset per trial, handed to every sampled test and then dropped;
+        # the adversarial arm's analytic answers settle every trial in one row
+        stats: dict[str, list] = {name: [] for name in tests}
+        for trial in range(grid.trials if sampled else 0):
+            data = sample_dataset(theta, grid.n, spawn_rng(grid.seed, *key, trial))
+            for name in sampled:
+                stats[name].append(monte_carlo[name](data))
+        if "tractable_adversarial" in stats:
+            adv = AdversarialPairOracle(null, theta, ocfg)
+            stats["tractable_adversarial"].append(queried(adv.policy(true_model)))
+        return stats
+
+    null_rows = statistic_rows(null, 0, _NULL_KEY)
     rows: list[SweepRow] = []
     for ia, alpha in enumerate(grid.alpha_values):
         for ig, gamma in enumerate(grid.gamma_values):
-            theta0, theta1, beta = _cell_models(grid, ia, ig, null_mu_scale, cov)
-            alt_rows = statistic_rows(theta1, _TRIALS_KEY, ia, ig)
+            theta1, beta = _cell_models(grid, ia, ig, null_mu_scale, cov)
+            alt_rows = statistic_rows(theta1, 1, _TRIALS_KEY, ia, ig)
             for name in tests:
-                if name in sampled:
-                    est = _risk(null_rows[name], alt_rows[name], sampled[name][1], grid.trials)
-                else:
-                    # analytic expectations and no draws: one row per arm settles every trial
-                    adv = AdversarialPairOracle(theta0, theta1, ocfg)
-                    est = _risk([queried(adv.policy(0))], [queried(adv.policy(1))], tcfg.levels, grid.trials)
+                est = _risk(null_rows[name], alt_rows[name], levels[name], grid.trials)
                 rows.append(
                     SweepRow(
                         alpha=alpha,

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ValidationError
 from .experiments import SweepRow
 from .theory import info_rate, tractable_rate
@@ -58,14 +60,8 @@ def render_heatmap_svg(rows: Sequence[SweepRow]) -> str:
 
     def y_of_gamma(gamma: float) -> float:
         g_log = math.log(gamma) if gamma > 0 else logs[0] - 1.0
-        if len(logs) == 1 or g_log <= logs[0]:
-            idx = idxs[0] - (0.0 if g_log >= logs[0] else 0.75)
-        elif g_log >= logs[-1]:
-            idx = idxs[-1] + 0.0
-        else:
-            k = max(i for i in range(len(logs)) if logs[i] <= g_log)
-            frac = (g_log - logs[k]) / (logs[k + 1] - logs[k])
-            idx = idxs[k] + frac * (idxs[k + 1] - idxs[k])
+        # clamped at both ends, and three quarters of a cell below the first gamma
+        idx = float(np.interp(g_log, logs, idxs)) - (0.75 if g_log < logs[0] else 0.0)
         return _MARGIN_T + panel_h - (idx + 0.5) * _CELL
 
     parts = [

@@ -375,16 +375,10 @@ def _mixture_expectation(
     coordinate off the signal support looks alike), and the closed form is
     the costly part of an adversarial cell.
     """
-    if kind == "coordinate_second_moment":
-        total = 0.0
-        for weight, mean in components:
-            p, _, m2 = truncated_moments(mean, -t, t)
-            total += weight * (m2 - p)
-        return total
     total = 0.0
     for weight, mean in components:
-        _, m1, _ = truncated_moments(mean, -t, t)
-        total += weight * m1
+        p, m1, m2 = truncated_moments(mean, -t, t)
+        total += weight * (m2 - p if kind == "coordinate_second_moment" else m1)
     return total
 
 

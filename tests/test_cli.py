@@ -144,6 +144,9 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
 # tests, and echoing only the settings it reads; any change to a response's
 # summation order or to a seed stream that flips a decision changes it
 _GOLDEN_SWEEP_SHA256 = "7c45d02ced22eb3b310b0a6649c6fc4e03c60fc66efe6768ad3b2d60e933dd1e"
+# sha256 of the same sweep's SVG, three panels, as written before the overlay
+# curves were placed by one np.interp call
+_GOLDEN_SVG_SHA256 = "e6bb78735491a79a824d91bfb0be9940dd26a4cb368438a5a26619707273d678"
 
 
 def test_sweep_csv_matches_golden(tmp_path):
@@ -154,9 +157,10 @@ def test_sweep_csv_matches_golden(tmp_path):
         tmp_path, d=10, s=2, n=2000, alpha=[0.5, 1.0], gamma=[1.0, 8.0], R=1.0, sigma=sigma,
         trials=3, seed=7,
     )
-    out = tmp_path / "golden.csv"
-    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    out, svg = tmp_path / "golden.csv", tmp_path / "golden.svg"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--svg", str(svg)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_SWEEP_SHA256
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == _GOLDEN_SVG_SHA256
 
 
 @pytest.mark.parametrize(
@@ -196,14 +200,34 @@ def test_sweep_repeated_test_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("where", ["flag", "config", "empty_flag"])
 def test_sweep_empty_test_list_exits_2(where, tmp_path, capsys):
     cfg = _sweep_config(tmp_path, **({"tests": []} if where == "config" else {}))
     out, svg = tmp_path / "e.csv", tmp_path / "e.svg"
     argv = ["sweep", "--config", cfg, "--out", str(out), "--svg", str(svg)]
-    assert cli.main(argv + (["--tests", ","] if where == "flag" else [])) == 2
+    flags = {"flag": ["--tests", ","], "empty_flag": ["--tests", ""], "config": []}[where]
+    assert cli.main(argv + flags) == 2
     assert "at least one test" in capsys.readouterr().err
     assert not out.exists() and not svg.exists()
+
+
+@pytest.mark.parametrize("key", ["out", "svg"])
+@pytest.mark.parametrize("case", ["empty", "directory", "missing_parent"])
+def test_sweep_unwritable_output_path_exits_2_before_any_cell(key, case, tmp_path, capsys, monkeypatch):
+    # a path that cannot be written used to fail with a traceback (exit 1)
+    # after the whole sweep had run, or, for an empty --svg, write nothing
+    from wslab import experiments
+
+    cells = []
+    real = experiments._cell_models
+    monkeypatch.setattr(experiments, "_cell_models", lambda *a: cells.append(a) or real(*a))
+    cfg = _sweep_config(tmp_path)
+    paths = {"out": str(tmp_path / "r.csv"), "svg": str(tmp_path / "r.svg")}
+    paths[key] = {"empty": "", "directory": str(tmp_path), "missing_parent": str(tmp_path / "no" / "r")}[case]
+    assert cli.main(["sweep", "--config", cfg, "--out", paths["out"], "--svg", paths["svg"]]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert cells == []
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.json"]
 
 
 def test_sweep_header_ignores_settings_it_does_not_read(tmp_path):

@@ -5,11 +5,11 @@ import pytest
 
 from wslab import errors, experiments, model, tractable
 from wslab.exhaustive import default_thresholds, run_exhaustive_test
-from wslab.oracle import EmpiricalOracle
+from wslab.oracle import AdversarialPairOracle, EmpiricalOracle
 from wslab.seeding import spawn_rng
 from wslab.theory import tractable_rate
 
-from conftest import stream
+from conftest import ar1, stream
 
 
 def _pair(d=4, alpha=0.5, beta=0.6):
@@ -91,7 +91,7 @@ def test_sweep_pairs_match_the_per_dataset_decisions():
     (row,) = experiments.sweep_phase_diagram(grid, tests=("tractable_honest",), sigma=cov, R=1.0, C=2.0)
     tcfg = tractable.TractableConfig(d=d, n=n, R=1.0, C=2.0)
     ocfg = tractable.default_oracle_config(tcfg)
-    _, theta1, _ = experiments._cell_models(grid, 0, 0, 0.0, cov)
+    theta1, _ = experiments._cell_models(grid, 0, 0, 0.0, cov)
     theta0 = model.ModelParams(np.zeros(d), np.zeros(d), cov, 1.0)
     rows = []
     for theta, key in ((theta0, (experiments._NULL_KEY,)), (theta1, (experiments._TRIALS_KEY, 0, 0))):
@@ -161,7 +161,7 @@ def test_single_cell_sweep_matches_hand_built_row():
     assert len(rows) == 1
     row = rows[0]
     eye = model.KnownCovariance(np.eye(8))
-    _, theta1, beta = experiments._cell_models(grid, 0, 0, 0.0, eye)
+    theta1, beta = experiments._cell_models(grid, 0, 0, 0.0, eye)
     theta0 = model.ModelParams(np.zeros(8), np.zeros(8), eye, 1.0)
     statistics, levels = experiments.exhaustive_procedure(
         eye, 2, default_thresholds(8, 2, grid.n // 2, eye)
@@ -226,6 +226,47 @@ def test_monte_carlo_tests_see_the_same_datasets(monkeypatch):
     assert [id(x) for x in seen["tractable_honest"]] == [id(x) for x in drawn]
 
 
+def test_adversarial_null_transcript_runs_once_per_sweep(monkeypatch):
+    # the null law does not depend on alpha, so one model-0 transcript serves
+    # every cell; each cell runs one model-1 transcript against its alternative
+    calls = []
+    real = AdversarialPairOracle.policy
+    monkeypatch.setattr(AdversarialPairOracle, "policy", lambda self, m: calls.append(m) or real(self, m))
+    grid = _grid([0.0, 0.5, 1.0], [0.0, 0.2, 1.5], trials=3)
+    experiments.sweep_phase_diagram(grid)
+    assert calls.count(0) == 1
+    assert calls.count(1) == len(grid.alpha_values) * len(grid.gamma_values)
+
+
+def test_adversarial_rows_match_a_per_cell_null(monkeypatch):
+    # the sweep's one null at alpha = 1 answers every query as each cell's own
+    # null at the cell's alpha would: same statistics, bit for bit, same rows
+    d, n, c0 = 12, 2000, 0.7
+    cov = model.KnownCovariance(ar1(d, 0.5))
+    grid = _grid([0.0, 0.25, 1.0], [0.0, 0.1, 4.0, 16.0], trials=4, d=d, s=3, n=n, seed=12)
+    seen = []
+    real = experiments._risk
+    monkeypatch.setattr(experiments, "_risk", lambda *a: seen.append(a[:2]) or real(*a))
+    rows = experiments.sweep_phase_diagram(
+        grid, tests=("tractable_adversarial",), null_mu_scale=c0, sigma=cov, R=1.0
+    )
+    tcfg = tractable.TractableConfig(d=d, n=n, R=1.0)
+    ocfg = tractable.default_oracle_config(tcfg)
+    mu = np.full(d, c0)
+    cells = [(ia, ig) for ia in range(3) for ig in range(4)]
+    assert len(rows) == len(seen) == len(cells)
+    for row, statistics, (ia, ig) in zip(rows, seen, cells):
+        theta1, _ = experiments._cell_models(grid, ia, ig, c0, cov)
+        theta0 = model.ModelParams(mu, mu, cov, grid.alpha_values[ia])
+        adv = AdversarialPairOracle(theta0, theta1, ocfg)
+        results = [tractable.run_tractable_test(adv.policy(m), tcfg, cov) for m in (0, 1)]
+        reference = tuple([(r.diagonal.statistic, r.signed.statistic)] for r in results)
+        assert statistics == reference
+        est = experiments._risk(*reference, tcfg.levels, grid.trials)
+        assert (row.type1, row.type2) == (est.type1, est.type2)
+    assert {(r.type1, r.type2) for r in rows} == {(0.0, 1.0), (0.0, 0.0)}
+
+
 def test_type1_is_one_estimate_per_test():
     grid = _grid([0.0, 0.5, 1.0], [0.0, 0.3, 1.5], trials=12, n=200)
     rows = experiments.sweep_phase_diagram(grid, tests=("exhaustive", "tractable_honest"))
@@ -247,11 +288,24 @@ def test_sweep_with_dense_covariance_hits_target_separation():
     grid = _grid([0.5], [0.8], trials=3, d=d, s=2, n=60)
     rows = experiments.sweep_phase_diagram(grid, tests=("tractable_adversarial",), sigma=sigma)
     assert len(rows) == 1
-    theta0, theta1, beta = experiments._cell_models(grid, 0, 0, 0.0, model.KnownCovariance(sigma))
+    theta1, beta = experiments._cell_models(grid, 0, 0, 0.0, model.KnownCovariance(sigma))
     from wslab.model import snr
 
     assert snr(theta1) == pytest.approx(0.8, rel=1e-9)
     assert rows[0].beta == pytest.approx(beta, rel=1e-12)
+
+
+def test_cell_alternative_is_centred_on_the_null_mean():
+    # a vanishing split moves only the split, not the nuisance mean C0 * 1
+    d, c0 = 10, 1.0
+    grid = _grid([1.0], [0.0, 1e-9], d=d, n=2000)
+    eye = model.KnownCovariance(np.eye(d))
+    flat, flat_beta = experiments._cell_models(grid, 0, 0, c0, eye)
+    split, beta = experiments._cell_models(grid, 0, 1, c0, eye)
+    assert flat_beta == 0.0 < beta
+    assert np.array_equal(flat.mu0, np.full(d, c0)) and np.array_equal(flat.mu1, np.full(d, c0))
+    np.testing.assert_allclose((split.mu0 + split.mu1) / 2.0, (flat.mu0 + flat.mu1) / 2.0, rtol=1e-15, atol=0.0)
+    assert model.snr(split) == pytest.approx(1e-9, rel=1e-9)
 
 
 def test_zero_gamma_cells_have_risk_one():
