@@ -189,7 +189,7 @@ def _run_sweep(cfg: dict, alphas: list[float], gammas: list[float]) -> list:
     return sweep_phase_diagram(
         grid,
         tests=tuple(cfg["tests"]),
-        threads=1 if cfg["threads"] is None else int(cfg["threads"]),
+        threads=len(os.sched_getaffinity(0)) if cfg["threads"] is None else int(cfg["threads"]),
         null_mu_scale=float(cfg["C0"]),
         sigma=sigma_from_spec(cfg["sigma"], int(cfg["d"])),
         R=float(cfg["R"]),
@@ -268,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name in ("sweep", "risk"):
             p.add_argument("--trials", type=int, default=None)
             p.add_argument("--threads", type=int, default=None,
-                           help="accepted for compatibility; sweeps run serially")
+                           help="maximum number of worker processes (default: one per available core)")
             p.add_argument("--tests", type=str, default=None,
                            help="comma-separated subset of " + ",".join(SWEEP_TESTS))
         if name == "verify":

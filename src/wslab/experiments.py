@@ -23,7 +23,9 @@ Conventions
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -208,6 +210,115 @@ def _cell_models(
     return ModelParams(mu0=mu - v / 2.0, mu1=mu + v / 2.0, sigma=cov, alpha=grid.alpha_values[ia]), beta
 
 
+class _SweepContext:
+    """What every work unit of one sweep reads, built once per process.
+
+    It pickles as its inputs ``(grid, tests, sigma array, null_mu_scale, R, C,
+    xi)``, so a worker process builds its own covariance, thresholds, query
+    family and (at ``s >= 3``) support plan.
+    """
+
+    def __init__(self, grid: SweepGrid, tests: tuple[str, ...], sigma: np.ndarray | KnownCovariance,
+                 null_mu_scale: float, R: float, C: float, xi: float | None) -> None:
+        cov = KnownCovariance.of(sigma, grid.d)
+        self._inputs = (grid, tests, cov.sigma, null_mu_scale, R, C, xi)
+        self.grid, self.tests, self.cov, self.null_mu_scale = grid, tests, cov, null_mu_scale
+        thresholds = default_thresholds(grid.d, grid.s, max(grid.n // 2, 1), cov)
+        self.tcfg = TractableConfig(d=grid.d, n=grid.n, R=R, C=C, xi=xi)
+        self.ocfg = default_oracle_config(self.tcfg)
+        self.exhaustive, exhaustive_levels = exhaustive_procedure(cov, grid.s, thresholds)
+        self.sampled = [name for name in tests if name != "tractable_adversarial"]
+        # every arm's levels; the adversarial arm is judged as the honest test
+        self.levels = {"exhaustive": exhaustive_levels, "tractable_honest": self.tcfg.levels}
+        self.levels["tractable_adversarial"] = self.levels["tractable_honest"]
+        # alpha = 1 draws the null's fair-coin label as the class coin itself
+        mu = np.full(grid.d, null_mu_scale)
+        self.null = ModelParams(mu0=mu, mu1=mu, sigma=cov, alpha=1.0)
+
+    def __reduce__(self):
+        return _SweepContext, self._inputs
+
+    def queried(self, oracle: OraclePolicy) -> tuple[float, float]:
+        result = run_tractable_test(oracle, self.tcfg, self.cov)
+        return result.diagonal.statistic, result.signed.statistic
+
+    def honest(self, data: Dataset) -> tuple[float, float]:
+        return self.queried(EmpiricalOracle(data, self.ocfg))
+
+    def statistic_rows(self, theta: ModelParams, true_model: int, *key: int) -> dict[str, list]:
+        # one dataset per trial, handed to every sampled test and then dropped;
+        # the adversarial arm's analytic answers settle every trial in one row.
+        # The bound methods stay local: held by the context, they would make
+        # it a reference cycle that outlives the sweep
+        monte_carlo = {"exhaustive": self.exhaustive, "tractable_honest": self.honest}
+        stats: dict[str, list] = {name: [] for name in self.tests}
+        for trial in range(self.grid.trials if self.sampled else 0):
+            data = sample_dataset(theta, self.grid.n, spawn_rng(self.grid.seed, *key, trial))
+            for name in self.sampled:
+                stats[name].append(monte_carlo[name](data))
+        if "tractable_adversarial" in stats:
+            adv = AdversarialPairOracle(self.null, theta, self.ocfg)
+            stats["tractable_adversarial"].append(self.queried(adv.policy(true_model)))
+        return stats
+
+
+# the sweep whose units run in this process (thread): a pool worker's is set
+# once by the pool's initializer, an in-process sweep's for its own duration
+_CONTEXT: contextvars.ContextVar[_SweepContext] = contextvars.ContextVar("wslab_sweep_context")
+
+
+def _enter_context(ctx: _SweepContext) -> None:
+    _CONTEXT.set(ctx)
+
+
+def _sweep_unit(key: tuple[int, ...]) -> tuple[float, dict[str, list]]:
+    """One work unit of the current sweep and its statistic rows: the null
+    unit ``()`` (its trials and the model-0 adversarial transcript), or the
+    cell ``(ia, ig)`` with its ``beta``."""
+    ctx = _CONTEXT.get()
+    if not key:
+        return 0.0, ctx.statistic_rows(ctx.null, 0, _NULL_KEY)
+    theta1, beta = _cell_models(ctx.grid, *key, ctx.null_mu_scale, ctx.cov)
+    return beta, ctx.statistic_rows(theta1, 1, _TRIALS_KEY, *key)
+
+
+# sampled covariate values per worker below which a worker's start-up (a
+# fresh interpreter importing numpy and wslab) costs more than it saves
+_VALUES_PER_WORKER = 1 << 23
+_BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+
+
+def _map_units(ctx: _SweepContext, keys: list[tuple[int, ...]], workers: int) -> list:
+    """``_sweep_unit`` over ``keys``, results in key order: in this process
+    when ``workers == 1``, else on ``workers`` spawn processes."""
+    if workers == 1:
+        token = _CONTEXT.set(ctx)
+        try:
+            return list(map(_sweep_unit, keys))
+        finally:
+            _CONTEXT.reset(token)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    spawn = multiprocessing.get_context("spawn")
+    pool = ProcessPoolExecutor(workers, spawn, initializer=_enter_context, initargs=(ctx,))
+    try:
+        # one BLAS thread per worker, so workers do not oversubscribe the
+        # cores; spawn workers start on submit, and every submit is in map
+        saved = os.environ.get(_BLAS_THREADS)
+        os.environ[_BLAS_THREADS] = "1"
+        try:
+            results = pool.map(_sweep_unit, keys, chunksize=max(1, round(len(keys) / (4 * workers))))
+        finally:
+            if saved is None:
+                del os.environ[_BLAS_THREADS]
+            else:
+                os.environ[_BLAS_THREADS] = saved
+        return list(results)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def sweep_phase_diagram(
     grid: SweepGrid,
     tests: Sequence[str] = SWEEP_TESTS,
@@ -223,14 +334,21 @@ def sweep_phase_diagram(
     ``null_mu_scale`` sets the shared null mean to that multiple of the
     all-ones vector (zero by default; a positive value stresses truncation
     bias in the query family). ``sigma`` is the known covariance (identity
-    by default), validated and factored once for the whole sweep; its
+    by default), validated and factored once per process; its
     condition number enters the exhaustive thresholds. The Monte Carlo
     tests share their datasets: ``trials`` null datasets for the whole sweep
     and ``trials`` alternative datasets per cell. The adversarial test runs
     one model-0 transcript for the whole sweep and one model-1 transcript
     per cell. So each test's type-I is one estimate repeated in every row.
-    Rows come back in (alpha, gamma, test) order. The sweep runs serially;
-    ``threads`` is validated but has no effect.
+    Rows come back in (alpha, gamma, test) order.
+
+    The work units are the null unit and then each cell. They run on
+    ``min(threads, available cores, values // 2**23)`` spawn worker
+    processes, where ``values`` counts the covariate values the sweep
+    samples, or in this process when that is at most one. The rows do not
+    depend on the worker count. A script that passes ``threads > 1`` must
+    call this under ``if __name__ == "__main__":``, since each worker
+    imports the script afresh.
     """
     if not tests:
         raise ValidationError("tests must name at least one test")
@@ -241,67 +359,34 @@ def sweep_phase_diagram(
         raise ValidationError(f"tests must not repeat, got {tuple(tests)}")
     if threads < 1:
         raise ValidationError(f"threads must be positive, got {threads}")
-    cov = KnownCovariance.of(np.eye(grid.d) if sigma is None else sigma, grid.d)
-    thresholds = default_thresholds(grid.d, grid.s, max(grid.n // 2, 1), cov)
-    tcfg = TractableConfig(d=grid.d, n=grid.n, R=R, C=C, xi=xi)
-    ocfg = default_oracle_config(tcfg)
+    sigma = np.eye(grid.d) if sigma is None else sigma
+    ctx = _SweepContext(grid, tuple(tests), sigma, null_mu_scale, R, C, xi)
+    cells = [(ia, ig) for ia in range(len(grid.alpha_values)) for ig in range(len(grid.gamma_values))]
+    values = (1 + len(cells)) * grid.trials * grid.n * grid.d if ctx.sampled else 0
+    workers = max(1, min(threads, len(os.sched_getaffinity(0)), values // _VALUES_PER_WORKER))
+    (_, null_rows), *cell_results = _map_units(ctx, [(), *cells], workers)
 
-    def queried(oracle: OraclePolicy) -> tuple[float, float]:
-        result = run_tractable_test(oracle, tcfg, cov)
-        return result.diagonal.statistic, result.signed.statistic
-
-    exhaustive_statistics, exhaustive_levels = exhaustive_procedure(cov, grid.s, thresholds)
-    monte_carlo = {
-        "exhaustive": exhaustive_statistics,
-        "tractable_honest": lambda data: queried(EmpiricalOracle(data, ocfg)),
-    }
-    sampled = [name for name in tests if name in monte_carlo]
-    # every arm's levels; the adversarial arm is judged as the honest test
-    levels = {"exhaustive": exhaustive_levels, "tractable_honest": tcfg.levels}
-    levels["tractable_adversarial"] = levels["tractable_honest"]
-
-    # alpha = 1 draws the null's fair-coin label as the class coin itself
-    mu = np.full(grid.d, null_mu_scale)
-    null = ModelParams(mu0=mu, mu1=mu, sigma=cov, alpha=1.0)
-
-    def statistic_rows(theta: ModelParams, true_model: int, *key: int) -> dict[str, list]:
-        # one dataset per trial, handed to every sampled test and then dropped;
-        # the adversarial arm's analytic answers settle every trial in one row
-        stats: dict[str, list] = {name: [] for name in tests}
-        for trial in range(grid.trials if sampled else 0):
-            data = sample_dataset(theta, grid.n, spawn_rng(grid.seed, *key, trial))
-            for name in sampled:
-                stats[name].append(monte_carlo[name](data))
-        if "tractable_adversarial" in stats:
-            adv = AdversarialPairOracle(null, theta, ocfg)
-            stats["tractable_adversarial"].append(queried(adv.policy(true_model)))
-        return stats
-
-    null_rows = statistic_rows(null, 0, _NULL_KEY)
     rows: list[SweepRow] = []
-    for ia, alpha in enumerate(grid.alpha_values):
-        for ig, gamma in enumerate(grid.gamma_values):
-            theta1, beta = _cell_models(grid, ia, ig, null_mu_scale, cov)
-            alt_rows = statistic_rows(theta1, 1, _TRIALS_KEY, ia, ig)
-            for name in tests:
-                est = _risk(null_rows[name], alt_rows[name], levels[name], grid.trials)
-                rows.append(
-                    SweepRow(
-                        alpha=alpha,
-                        gamma=gamma,
-                        beta=beta,
-                        test=name,
-                        d=grid.d,
-                        s=grid.s,
-                        n=grid.n,
-                        trials=grid.trials,
-                        type1=est.type1,
-                        type2=est.type2,
-                        risk=est.risk,
-                        half_width=est.half_width,
-                        seed=grid.seed,
-                    )
+    for (ia, ig), (beta, alt_rows) in zip(cells, cell_results):
+        for name in ctx.tests:
+            est = _risk(null_rows[name], alt_rows[name], ctx.levels[name], grid.trials)
+            rows.append(
+                SweepRow(
+                    alpha=grid.alpha_values[ia],
+                    gamma=grid.gamma_values[ig],
+                    beta=beta,
+                    test=name,
+                    d=grid.d,
+                    s=grid.s,
+                    n=grid.n,
+                    trials=grid.trials,
+                    type1=est.type1,
+                    type2=est.type2,
+                    risk=est.risk,
+                    half_width=est.half_width,
+                    seed=grid.seed,
                 )
+            )
     return rows
 
 

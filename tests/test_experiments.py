@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -317,13 +319,46 @@ def test_zero_gamma_cells_have_risk_one():
         assert row.half_width <= 1.96 * 0.5 * 2 / math.sqrt(row.trials)
 
 
-def test_sweep_deterministic_across_thread_counts():
-    grid = _grid([0.0, 1.0], [0.2, 1.5], trials=5)
-    rows1 = experiments.sweep_phase_diagram(grid, threads=1)
-    rows8 = experiments.sweep_phase_diagram(grid, threads=8)
-    csv1 = experiments.sweep_rows_to_csv(rows1, ["h"])
-    csv8 = experiments.sweep_rows_to_csv(rows8, ["h"])
-    assert csv1 == csv8
+def test_sweep_deterministic_across_thread_counts(monkeypatch):
+    # a sweep this small would otherwise run in this process
+    monkeypatch.setattr(experiments, "_VALUES_PER_WORKER", 1)
+    map_units, workers = experiments._map_units, []
+
+    def counted(ctx, keys, n):
+        workers.append(n)
+        return map_units(ctx, keys, n)
+
+    monkeypatch.setattr(experiments, "_map_units", counted)
+    cases = [
+        (2, experiments.SWEEP_TESTS, None, 2),
+        (3, experiments.SWEEP_TESTS, ar1(8, 0.5), 2),  # more threads than cores
+        (2, ("exhaustive",), ar1(8, 0.3), 3),  # each worker builds its own support plan
+    ]
+    for threads, tests, sigma, s in cases:
+        grid = _grid([0.0, 1.0], [0.2, 1.5], trials=5, s=s)
+        rows1 = experiments.sweep_phase_diagram(grid, tests=tests, threads=1, sigma=sigma)
+        rows = experiments.sweep_phase_diagram(grid, tests=tests, threads=threads, sigma=sigma)
+        assert experiments.sweep_rows_to_csv(rows1, ["h"]) == experiments.sweep_rows_to_csv(rows, ["h"])
+    cores = len(os.sched_getaffinity(0))
+    assert workers == [1, min(2, cores), 1, min(3, cores), 1, min(2, cores)]
+
+
+@pytest.mark.parametrize("blas_threads", [None, "3"])
+def test_pooled_sweep_leaves_no_process_and_restores_the_environment(monkeypatch, blas_threads):
+    if blas_threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+    monkeypatch.setattr(experiments, "_VALUES_PER_WORKER", 1)
+    assert len(experiments.sweep_phase_diagram(_grid([0.5], [1.0], trials=2), threads=2)) == 3
+    assert multiprocessing.active_children() == []
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == blas_threads
+    # a worker's error reaches the caller as its own type, and the workers are still joined
+    one_class = _grid([0.5], [1.0], trials=5, d=3, s=1, n=4)
+    with pytest.raises(errors.OneClassMissingError):
+        experiments.sweep_phase_diagram(one_class, threads=2)
+    assert multiprocessing.active_children() == []
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == blas_threads
 
 
 def test_sweep_test_filter_controls_rows():

@@ -5,7 +5,7 @@ is the most memory its temporaries and result held at once. These bounds pin
 that the query family's pass and the variance search work in cache-sized
 blocks, that sampling makes no transient ``n x d`` copy, and that the
 search's support plan has its stated size and dies with its covariance,
-without timing anything.
+and that a sweep leaves no reference cycle behind, without timing anything.
 """
 
 import gc
@@ -16,7 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
-from wslab import exhaustive, model, oracle
+from wslab import exhaustive, experiments, model, oracle
 from wslab.tractable import TractableConfig, build_queries
 
 from conftest import ar1, stream
@@ -72,6 +72,19 @@ def test_support_plan_dies_with_its_covariance():
     del cov
     gc.collect()
     assert plan() is None
+
+
+def test_sweep_leaves_no_reference_cycle():
+    # a cycle through the sweep's context would keep its covariance and support
+    # plan alive after the sweep, until the cycle collector happened to run
+    grid = experiments.SweepGrid((0.5,), (1.0,), d=8, s=3, n=100, trials=2, seed=1)
+    gc.collect()
+    gc.disable()
+    try:
+        experiments.sweep_phase_diagram(grid, sigma=ar1(8, 0.3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_warm_variance_search_stays_within_a_few_batches():

@@ -48,6 +48,12 @@ def test_cli_import_does_not_load_scipy():
     assert _fresh_interpreter("import sys, wslab.cli; print('scipy' in sys.modules)") == "False"
 
 
+def test_cli_import_does_not_load_the_process_pool():
+    # a sweep imports them only when it starts worker processes
+    code = "import sys, wslab.cli; print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    assert _fresh_interpreter(code) == "[]"
+
+
 def test_package_reexports_nothing():
     # each public name is imported from its module; a fresh interpreter sees
     # only the submodules on the package itself
