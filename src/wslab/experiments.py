@@ -24,8 +24,11 @@ Conventions
 from __future__ import annotations
 
 import contextvars
+import logging
 import math
 import os
+import threading
+import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -54,6 +57,8 @@ __all__ = [
 ]
 
 SWEEP_TESTS = ("exhaustive", "tractable_honest", "tractable_adversarial")
+
+log = logging.getLogger("wslab")
 
 
 @dataclass(frozen=True)
@@ -282,15 +287,20 @@ def _sweep_unit(key: tuple[int, ...]) -> tuple[float, dict[str, list]]:
     return beta, ctx.statistic_rows(theta1, 1, _TRIALS_KEY, *key)
 
 
-# sampled covariate values per worker below which a worker's start-up (a
-# fresh interpreter importing numpy and wslab) costs more than it saves
+# sampled covariate values per worker below which a pooled sweep's start-up
+# (at its first, the fork server's interpreter importing numpy and wslab)
+# costs more than it saves
 _VALUES_PER_WORKER = 1 << 23
 _BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+# the environment is process-wide, so pooled sweeps in two threads take
+# turns at setting and restoring it
+_ENVIRON_LOCK = threading.Lock()
 
 
 def _map_units(ctx: _SweepContext, keys: list[tuple[int, ...]], workers: int) -> list:
     """``_sweep_unit`` over ``keys``, results in key order: in this process
-    when ``workers == 1``, else on ``workers`` spawn processes."""
+    when ``workers == 1``, else on ``workers`` processes forked from
+    multiprocessing's fork server."""
     if workers == 1:
         token = _CONTEXT.set(ctx)
         try:
@@ -298,23 +308,42 @@ def _map_units(ctx: _SweepContext, keys: list[tuple[int, ...]], workers: int) ->
         finally:
             _CONTEXT.reset(token)
     import multiprocessing
+    import site
     from concurrent.futures import ProcessPoolExecutor
 
-    spawn = multiprocessing.get_context("spawn")
-    pool = ProcessPoolExecutor(workers, spawn, initializer=_enter_context, initargs=(ctx,))
+    # the interpreter's first pooled sweep starts the server, which imports
+    # numpy and wslab once; every worker of every pooled sweep is a fork of it
+    forkserver = multiprocessing.get_context("forkserver")
+    forkserver.set_forkserver_preload([__name__])
+    environ = {_BLAS_THREADS: "1"}
+    # Python 3.11's server ignores the caller's sys.path, so a wslab that is
+    # not installed reaches the server's preload only through PYTHONPATH
+    source_root = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
+    if source_root not in map(os.path.realpath, [*site.getsitepackages(), site.getusersitepackages()]):
+        environ["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    pool = ProcessPoolExecutor(workers, forkserver, initializer=_enter_context, initargs=(ctx,))
     try:
         # one BLAS thread per worker, so workers do not oversubscribe the
-        # cores; spawn workers start on submit, and every submit is in map
-        saved = os.environ.get(_BLAS_THREADS)
-        os.environ[_BLAS_THREADS] = "1"
-        try:
-            results = pool.map(_sweep_unit, keys, chunksize=max(1, round(len(keys) / (4 * workers))))
-        finally:
-            if saved is None:
-                del os.environ[_BLAS_THREADS]
-            else:
-                os.environ[_BLAS_THREADS] = saved
-        return list(results)
+        # cores: the server (and so each worker) keeps the environment it
+        # starts with, it starts on the first submit, and every submit is in map
+        with _ENVIRON_LOCK:
+            saved = {name: os.environ.get(name) for name in environ}
+            os.environ.update(environ)
+            try:
+                results = pool.map(_sweep_unit, keys, chunksize=max(1, round(len(keys) / (4 * workers))))
+            finally:
+                for name, value in saved.items():
+                    if value is None:
+                        del os.environ[name]
+                    else:
+                        os.environ[name] = value
+        first = next(results)
+        first_s = time.perf_counter() - start
+        units = [first, *results]
+        log.info("pooled sweep: %d units on %d %s workers, first result after %.3f s, last after %.3f s",
+                 len(keys), workers, forkserver.get_start_method(), first_s, time.perf_counter() - start)
+        return units
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
@@ -343,12 +372,12 @@ def sweep_phase_diagram(
     Rows come back in (alpha, gamma, test) order.
 
     The work units are the null unit and then each cell. They run on
-    ``min(threads, available cores, values // 2**23)`` spawn worker
-    processes, where ``values`` counts the covariate values the sweep
-    samples, or in this process when that is at most one. The rows do not
-    depend on the worker count. A script that passes ``threads > 1`` must
-    call this under ``if __name__ == "__main__":``, since each worker
-    imports the script afresh.
+    ``min(threads, available cores, values // 2**23)`` worker processes
+    forked from multiprocessing's fork server, where ``values`` counts the
+    covariate values the sweep samples, or in this process when that is at
+    most one. The rows do not depend on the worker count. A script that
+    passes ``threads > 1`` must call this under ``if __name__ ==
+    "__main__":``, since each worker imports the script afresh.
     """
     if not tests:
         raise ValidationError("tests must name at least one test")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -422,6 +423,26 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "alpha,gamma_info,gamma_tract" in proc.stdout
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="a pooled sweep needs two cores")
+def test_pooled_sweep_logs_only_at_info_and_writes_the_same_bytes(tmp_path):
+    cfg = _sweep_config(tmp_path)
+    out = tmp_path / "pooled.csv"
+    # every sweep of more than one worker pools them, however small
+    code = "import sys; from wslab import cli, experiments; experiments._VALUES_PER_WORKER = 1; sys.exit(cli.main())"
+    runs = {}
+    for level, threads in ((None, "2"), ("info", "2"), ("info", "1")):
+        env = {k: v for k, v in os.environ.items() if k != "WSL_LOG"}
+        env.update({"WSL_LOG": level} if level else {})
+        argv = [sys.executable, "-c", code, "sweep", "--config", cfg, "--out", str(out), "--threads", threads]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120, check=True)
+        pooled = [line for line in proc.stderr.splitlines() if "pooled sweep" in line]
+        runs[level, threads] = (proc.stdout, out.read_bytes(), proc.stderr if level is None else pooled)
+    assert runs[None, "2"][2] == "" and runs["info", "1"][2] == []
+    [line] = runs["info", "2"][2]
+    assert line.startswith("INFO:wslab:pooled sweep: 5 units on 2 forkserver workers, first result after ")
+    assert len({run[:2] for run in runs.values()}) == 1
 
 
 def test_beta_grid_converts_to_gamma(tmp_path):

@@ -1,6 +1,9 @@
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+from multiprocessing import forkserver
 
 import numpy as np
 import pytest
@@ -343,22 +346,67 @@ def test_sweep_deterministic_across_thread_counts(monkeypatch):
     assert workers == [1, min(2, cores), 1, min(3, cores), 1, min(2, cores)]
 
 
-@pytest.mark.parametrize("blas_threads", [None, "3"])
-def test_pooled_sweep_leaves_no_process_and_restores_the_environment(monkeypatch, blas_threads):
+@pytest.mark.parametrize("blas_threads, python_path", [(None, None), ("3", "elsewhere")], ids=["None", "3"])
+def test_pooled_sweep_leaves_no_process_and_restores_the_environment(monkeypatch, blas_threads, python_path):
     if blas_threads is None:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     else:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+    if python_path is None:
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONPATH", python_path)
     monkeypatch.setattr(experiments, "_VALUES_PER_WORKER", 1)
     assert len(experiments.sweep_phase_diagram(_grid([0.5], [1.0], trials=2), threads=2)) == 3
     assert multiprocessing.active_children() == []
     assert os.environ.get("OPENBLAS_NUM_THREADS") == blas_threads
+    assert os.environ.get("PYTHONPATH") == python_path
     # a worker's error reaches the caller as its own type, and the workers are still joined
     one_class = _grid([0.5], [1.0], trials=5, d=3, s=1, n=4)
     with pytest.raises(errors.OneClassMissingError):
         experiments.sweep_phase_diagram(one_class, threads=2)
     assert multiprocessing.active_children() == []
     assert os.environ.get("OPENBLAS_NUM_THREADS") == blas_threads
+    assert os.environ.get("PYTHONPATH") == python_path
+
+
+_TWO_CORES = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="a pooled sweep needs two cores")
+
+
+@_TWO_CORES
+def test_consecutive_pooled_sweeps_reuse_the_fork_server(monkeypatch):
+    monkeypatch.setattr(experiments, "_VALUES_PER_WORKER", 1)
+    grid = _grid([0.0, 1.0], [0.2, 1.5], trials=5)
+    serial = experiments.sweep_rows_to_csv(experiments.sweep_phase_diagram(grid, threads=1), ["h"])
+    servers = []
+    for _ in range(2):
+        rows = experiments.sweep_phase_diagram(grid, threads=2)
+        assert experiments.sweep_rows_to_csv(rows, ["h"]) == serial
+        assert multiprocessing.active_children() == []
+        servers.append(forkserver._forkserver._forkserver_pid)
+    assert servers[0] is not None and servers[0] == servers[1]
+
+
+@_TWO_CORES
+def test_fork_server_preloads_wslab_with_one_blas_thread(tmp_path):
+    # wslab is importable only through sys.path, as in a script that inserts
+    # its checkout's source directory; the server must still preload it
+    source_root = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    probe = "('wslab.experiments' in __import__('sys').modules, __import__('os').environ.get('OPENBLAS_NUM_THREADS'))"
+    code = (
+        f"import multiprocessing, os, sys; sys.path.insert(0, {source_root!r})\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "from wslab import experiments\n"
+        "experiments._VALUES_PER_WORKER = 1\n"
+        "experiments.sweep_phase_diagram(experiments.SweepGrid((0.5,), (1.0,), 8, 2, 120, 2, 5), threads=2)\n"
+        "with ProcessPoolExecutor(1, multiprocessing.get_context('forkserver')) as pool:\n"
+        f"    print(pool.submit(eval, {probe!r}).result(), os.environ.get('PYTHONPATH'))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "OPENBLAS_NUM_THREADS")}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert result.stdout.strip() == "(True, '1') None"
 
 
 def test_sweep_test_filter_controls_rows():
