@@ -44,8 +44,8 @@ SUPPORT_BUDGET = 1_000_000
 # (256 KiB), so a dataset's pass stays bounded whatever C(d, s) is
 _BATCH_VALUES = 1 << 15
 
-# relative inflation of a support's trace bound, times the condition number
-# of Sigma: it covers the rounding of both the bound and the exact route
+# relative inflation of a support's trace bound: the bound and the exact value
+# come from one reduced matrix, so it covers only their rounding
 _BOUND_MARGIN = 1e-9
 
 # supports per batch solved exactly, largest bounds first, before the rest
@@ -132,16 +132,18 @@ def sparse_variance_statistic(
     ``(k, s, s)`` stack), so its own pass stays bounded whatever ``C(d, s)``
     is; the plan does not. Within a batch:
 
-    * the trace bound of Wolkowicz and Styan (1980), ``m + sqrt((s - 1) / s)
-      ||R_S - m I||_F`` with ``m = tr(R_S) / s``, from two matmuls, bounds
-      each largest eigenvalue; it is inflated by ``1e-9 * kappa`` relative,
-      which covers the rounding of both routes (at an extreme ``kappa``
-      pruning stops);
-    * the exact value (``cholesky``, two ``solve`` calls and ``eigvalsh``) is
-      computed for the few largest bounds, then for every support whose bound
-      reaches the best value so far, so a pruned support can neither beat nor
-      tie the maximum. Each of those gufuncs treats each matrix on its own,
+    * two matmuls form ``R_S - m I`` with ``m = tr(R_S) / s``; the trace
+      bound of Wolkowicz and Styan (1980), ``m + sqrt((s - 1) / s)
+      ||R_S - m I||_F``, bounds each largest eigenvalue;
+    * the exact value, ``eigvalsh(R_S - m I) + m`` on those same matrices,
+      is computed for the few largest bounds, then for every support whose
+      bound reaches the best value so far, so a pruned support can neither
+      beat nor tie the maximum. ``eigvalsh`` treats each matrix on its own,
       so a value is the same bits whichever supports share its call.
+
+    Bound and value differ only by the rounding of the Frobenius sum and of
+    ``eigvalsh``, both relative to the largest eigenvalue (at most the
+    bound), so a ``1e-9`` relative margin covers them at any ``kappa``.
 
     Ties go to the first support in lexicographic order (first maximum within
     a batch, a strict ``>`` across batches), so results are deterministic and
@@ -188,23 +190,24 @@ def sparse_variance_statistic(
         return float(lam[idx]), (int(jj[idx]), int(kk[idx]))
 
     plan = _support_plan(cov, s)
-    inflate = 1.0 + _BOUND_MARGIN * cov.kappa
     best = -math.inf
     best_support: tuple[int, ...] = ()
     batch = max(1, _BATCH_VALUES // (s * s))
     for start in range(0, len(plan.supports), batch):
         idx = plan.supports[start : start + batch]
-        inv_chol_t = plan.inv_chol_t[start : start + batch]
-        bound = inflate * _trace_bound(inv_chol_t, g[idx[:, :, None], idx[:, None, :]])
+        dev, m = _centred_reduction(plan.inv_chol_t[start : start + batch], g[idx[:, :, None], idx[:, None, :]])
+        # Wolkowicz-Styan: lambda_max(R) <= m + sqrt((s - 1) / s) ||R - m I||_F
+        frobenius = np.sqrt(np.einsum("kij,kij->k", dev, dev))
+        bound = (1.0 + _BOUND_MARGIN) * (m + math.sqrt((s - 1) / s) * frobenius)
         if bound.max() < best:
             continue
         # solve the largest bounds first: their best value prunes the rest,
         # and every support that ties the batch maximum still reaches it
         lam = np.full(len(idx), -math.inf)
         seeds = np.argsort(bound)[-_SEED_SUPPORTS:]
-        lam[seeds] = _exact_values(g, b, idx[seeds])
+        lam[seeds] = _exact_values(dev[seeds], m[seeds])
         reach = np.flatnonzero((bound >= max(best, lam.max())) & (lam == -math.inf))
-        lam[reach] = _exact_values(g, b, idx[reach])
+        lam[reach] = _exact_values(dev[reach], m[reach])
         j = int(np.argmax(lam))
         if lam[j] > best:
             best = float(lam[j])
@@ -236,29 +239,23 @@ def _support_plan(cov: KnownCovariance, s: int) -> _SupportPlan:
     return plans[s]
 
 
-def _trace_bound(inv_chol_t: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    # Wolkowicz-Styan: lambda_max(R) <= m + sqrt((s - 1) / s) ||R - m I||_F with
-    # m = tr(R) / s, for R = L^{-1} G_S L^{-T}; the deviation is formed before
-    # it is squared, so equal eigenvalues cancel without losing precision.
-    # R is written over gs.
+def _centred_reduction(inv_chol_t: np.ndarray, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # R_S - m I and m = tr(R_S) / s, for R_S = L^{-1} G_S L^{-T} written over
+    # gs; the deviation is formed before it is squared or solved, so equal
+    # eigenvalues cancel without losing precision
     s = gs.shape[-1]
     r = np.matmul(inv_chol_t.swapaxes(1, 2), gs @ inv_chol_t, out=gs)
-    flat = r.reshape(len(r), s * s)
-    diag = flat[:, :: s + 1]
+    diag = r.reshape(len(r), s * s)[:, :: s + 1]
     m = diag.mean(axis=1)
     diag -= m[:, None]
-    return m + math.sqrt((s - 1) / s) * np.sqrt(np.einsum("ki,ki->k", flat, flat))
+    return r, m
 
 
-def _exact_values(g: np.ndarray, b: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    # the largest eigenvalue of each pencil (G_S, B_S), through the symmetric
-    # L^{-1} G_S L^{-T}; each gufunc treats each matrix on its own, so a
-    # support's value does not depend on which others share the call
-    rows, cols = idx[:, :, None], idx[:, None, :]
-    chol = np.linalg.cholesky(b[rows, cols])
-    half = np.linalg.solve(chol, g[rows, cols])  # L^{-1} G_S
-    reduced = np.linalg.solve(chol, half.swapaxes(1, 2))  # L^{-1} G_S L^{-T}
-    return np.linalg.eigvalsh(reduced)[:, -1]
+def _exact_values(dev: np.ndarray, m: np.ndarray) -> np.ndarray:
+    # the largest eigenvalue of each R_S from its deviation R_S - m I; eigvalsh
+    # treats each matrix on its own, so a support's value does not depend on
+    # which others share the call
+    return np.linalg.eigvalsh(dev)[:, -1] + m
 
 
 def peak_coordinate_statistic(u: np.ndarray, sigma: np.ndarray | KnownCovariance) -> tuple[float, int, int]:

@@ -27,6 +27,7 @@ import contextvars
 import logging
 import math
 import os
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -375,9 +376,10 @@ def sweep_phase_diagram(
     ``min(threads, available cores, values // 2**23)`` worker processes
     forked from multiprocessing's fork server, where ``values`` counts the
     covariate values the sweep samples, or in this process when that is at
-    most one. The rows do not depend on the worker count. A script that
-    passes ``threads > 1`` must call this under ``if __name__ ==
-    "__main__":``, since each worker imports the script afresh.
+    most one or the main script was read from standard input. The rows do
+    not depend on the worker count. A script that passes ``threads > 1``
+    must call this under ``if __name__ == "__main__":``, since each worker
+    imports the script afresh.
     """
     if not tests:
         raise ValidationError("tests must name at least one test")
@@ -393,6 +395,9 @@ def sweep_phase_diagram(
     cells = [(ia, ig) for ia in range(len(grid.alpha_values)) for ig in range(len(grid.gamma_values))]
     values = (1 + len(cells)) * grid.trials * grid.n * grid.d if ctx.sampled else 0
     workers = max(1, min(threads, len(os.sched_getaffinity(0)), values // _VALUES_PER_WORKER))
+    # a worker re-imports the main script, which one read from standard input lacks
+    if getattr(sys.modules["__main__"], "__file__", None) == "<stdin>":
+        workers = 1
     (_, null_rows), *cell_results = _map_units(ctx, [(), *cells], workers)
 
     rows: list[SweepRow] = []

@@ -84,18 +84,14 @@ class KnownCovariance:
             raise NonPositiveDiagonalError("covariance diagonal must be strictly positive")
         if np.abs(sigma - sigma.T).max(initial=0.0) > _SYMMETRY_ATOL * max(1.0, np.abs(sigma).max(initial=0.0)):
             raise NonSPDError("covariance is not symmetric")
-        eigvals = np.linalg.eigvalsh(sigma)
-        if eigvals[0] <= 0.0:
-            raise NonSPDError(f"covariance is not positive-definite (min eigenvalue {eigvals[0]:.3e})")
-        kappa = float(eigvals[-1] / eigvals[0])
+        vals, vecs = np.linalg.eigh(sigma)
+        if vals[0] <= 0.0:
+            raise NonSPDError(f"covariance is not positive-definite (min eigenvalue {vals[0]:.3e})")
+        kappa = float(vals[-1] / vals[0])
         if kappa > MAX_CONDITION_NUMBER:
             raise NonSPDError(f"covariance condition number {kappa:.3e} exceeds {MAX_CONDITION_NUMBER:.0e}")
         is_identity = bool((sigma == np.eye(len(sigma))).all())
-        if is_identity:
-            root = np.eye(len(sigma))
-        else:
-            vals, vecs = np.linalg.eigh(sigma)
-            root = (vecs / np.sqrt(vals)) @ vecs.T
+        root = np.eye(len(sigma)) if is_identity else (vecs / np.sqrt(vals)) @ vecs.T
         for name, value in dict(
             sigma=sigma, diag=diag, kappa=kappa, is_identity=is_identity,
             inv_sqrt=_as_readonly(root), twice_precision=_as_readonly(2.0 * (root @ root)),

@@ -115,4 +115,4 @@ def test_sweep_factors_sigma_once(monkeypatch, trials):
     grid = experiments.SweepGrid((0.5, 1.0), (0.3, 1.0), d=d, s=2, n=200, trials=trials, seed=3)
     counts = _count_calls(monkeypatch, ("eigh", "eigvalsh", "cholesky"))
     experiments.sweep_phase_diagram(grid, tests=("exhaustive",), sigma=sigma)
-    assert counts == {"eigh": 1, "eigvalsh": 1, "cholesky": 1}
+    assert counts == {"eigh": 1, "eigvalsh": 0, "cholesky": 1}

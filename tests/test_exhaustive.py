@@ -187,8 +187,9 @@ def test_ties_go_to_the_lexicographically_first_support():
 
 
 def _solve_every_support(w, sigma, s, batch=4096):
-    # reference: the unpruned batched loop, every support's pencil reduced
-    # through cholesky(B_S) and solved exactly, first maximum wins
+    # reference: the unpruned batched loop, every support's pencil reduced to
+    # R_S = L^{-1} G_S L^{-T} with L = cholesky(B_S) and solved exactly as
+    # eigvalsh(R_S - m I) + m, m = tr(R_S) / s; first maximum wins
     cov = model.KnownCovariance.of(sigma)
     y = w if cov.is_identity else w @ cov.inv_sqrt
     g = (y.T @ y) / w.shape[0]
@@ -197,9 +198,10 @@ def _solve_every_support(w, sigma, s, batch=4096):
     supports = combinations(range(w.shape[1]), s)
     while (idx := np.fromiter(islice(supports, batch), dtype=(np.intp, s))).size:
         rows, cols = idx[:, :, None], idx[:, None, :]
-        chol = np.linalg.cholesky(b[rows, cols])
-        half = np.linalg.solve(chol, g[rows, cols])
-        lam = np.linalg.eigvalsh(np.linalg.solve(chol, half.swapaxes(1, 2)))[:, -1]
+        inv_chol_t = np.ascontiguousarray(np.linalg.inv(np.linalg.cholesky(b[rows, cols])).swapaxes(1, 2))
+        r = inv_chol_t.swapaxes(1, 2) @ (g[rows, cols] @ inv_chol_t)
+        m = np.diagonal(r, axis1=1, axis2=2).mean(axis=1)
+        lam = np.linalg.eigvalsh(r - m[:, None, None] * np.eye(s))[:, -1] + m
         j = int(np.argmax(lam))
         if lam[j] > best:
             best, best_support = float(lam[j]), tuple(idx[j].tolist())
@@ -251,18 +253,32 @@ def test_every_support_tied_gives_the_first():
     assert support == (0, 1, 2, 3)
 
 
-def test_null_search_solves_few_supports_exactly(monkeypatch):
+@pytest.mark.parametrize("sigma_kind", ["ar1-0.3", "kappa-1e8"])
+def test_null_search_solves_few_supports_exactly(monkeypatch, sigma_kind):
+    # the pruning margin does not grow with the condition number of sigma
     d, s = 40, 3
-    cov = model.KnownCovariance(ar1(d, 0.3))
+    cov = model.KnownCovariance(_SIGMAS[sigma_kind](d))
     w = _pair_differences(cov, False, 2000, 0)
     solved = []
     exact = exhaustive._exact_values
-    monkeypatch.setattr(
-        exhaustive, "_exact_values", lambda g, b, idx: solved.append(len(idx)) or exact(g, b, idx)
-    )
+    monkeypatch.setattr(exhaustive, "_exact_values", lambda dev, m: solved.append(len(m)) or exact(dev, m))
     stat, support = exhaustive.sparse_variance_statistic(w, cov, s)
     assert sum(solved) <= 0.01 * math.comb(d, s)
     assert (stat, support) == _solve_every_support(w, cov, s)
+
+
+@pytest.mark.parametrize("d, s", [(16, 3), (13, 4)])
+def test_ill_conditioned_search_matches_the_generalized_eigenproblem(d, s):
+    # independent route at kappa = 1e8: scipy's generalized eigh of every
+    # pencil (G_S, B_S), first maximum wins
+    cov = model.KnownCovariance(_ill_conditioned(d))
+    for planted in (False, True):
+        w = _pair_differences(cov, planted, 400, d * 10 + s)
+        stat, support = exhaustive.sparse_variance_statistic(w, cov, s)
+        y = w @ cov.inv_sqrt
+        best, best_support = _eigh_loop(y.T @ y / w.shape[0], cov.twice_precision, s)
+        assert support == best_support
+        assert stat == pytest.approx(best, rel=1e-12)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])

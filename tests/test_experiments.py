@@ -409,6 +409,27 @@ def test_fork_server_preloads_wslab_with_one_blas_thread(tmp_path):
     assert result.stdout.strip() == "(True, '1') None"
 
 
+@_TWO_CORES
+def test_pooled_sweep_from_a_script_on_standard_input_runs_in_process(tmp_path):
+    # a worker cannot re-import a main script read from standard input, so
+    # such a sweep would fail with BrokenProcessPool on a pool
+    source_root = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    script = (
+        f"import sys; sys.path.insert(0, {source_root!r})\n"
+        "from wslab import experiments\n"
+        "experiments._VALUES_PER_WORKER = 1\n"
+        "grid = experiments.SweepGrid((0.5,), (1.0,), 8, 2, 120, 2, 5)\n"
+        "if __name__ == '__main__':\n"
+        "    sys.stdout.write(experiments.sweep_rows_to_csv(experiments.sweep_phase_diagram(grid, threads=2), ['h']))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-"], input=script, cwd=tmp_path, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    serial = experiments.sweep_phase_diagram(experiments.SweepGrid((0.5,), (1.0,), 8, 2, 120, 2, 5), threads=1)
+    assert result.stdout == experiments.sweep_rows_to_csv(serial, ["h"])
+
+
 def test_sweep_test_filter_controls_rows():
     grid = _grid([0.5], [0.4], trials=4)
     rows = experiments.sweep_phase_diagram(grid, tests=("tractable_honest",))
