@@ -30,6 +30,7 @@ import os
 import sys
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import AlphaRangeError, ValidationError
 from .exhaustive import Thresholds, default_thresholds, run_exhaustive_test
 from .model import AltSpec, Dataset, KnownCovariance, ModelParams
-from .model import make_restricted_alternative, sample_dataset
+from .model import _sample_into, make_restricted_alternative, sample_dataset
 from .oracle import AdversarialPairOracle, EmpiricalOracle, GapRecord, OraclePolicy
 from .seeding import spawn_rng
 from .tractable import TractableConfig, default_oracle_config, run_tractable_test
@@ -252,16 +253,25 @@ class _SweepContext:
         return self.queried(EmpiricalOracle(data, self.ocfg))
 
     def statistic_rows(self, theta: ModelParams, true_model: int, *key: int) -> dict[str, list]:
-        # one dataset per trial, handed to every sampled test and then dropped;
-        # the adversarial arm's analytic answers settle every trial in one row.
-        # The bound methods stay local: held by the context, they would make
-        # it a reference cycle that outlives the sweep
+        # one dataset per trial, handed to every sampled test and dropped
+        # before the next is drawn, so no two datasets are ever alive at once.
+        # The next is drawn into the dropped one's covariates, unless a test
+        # kept that dataset: freeing and allocating an n x d array per trial
+        # made the allocator hand its pages back and fault them in again.
+        # The adversarial arm's analytic answers settle every trial in one
+        # row. The bound methods stay local: held by the context, they would
+        # make it a reference cycle that outlives the sweep
         monte_carlo = {"exhaustive": self.exhaustive, "tractable_honest": self.honest}
         stats: dict[str, list] = {name: [] for name in self.tests}
+        x = None
         for trial in range(self.grid.trials if self.sampled else 0):
-            data = sample_dataset(theta, self.grid.n, spawn_rng(self.grid.seed, *key, trial))
+            data, _ = _sample_into(x, theta, self.grid.n, spawn_rng(self.grid.seed, *key, trial))
             for name in self.sampled:
                 stats[name].append(monte_carlo[name](data))
+            x, kept = data.covariates, weakref.ref(data)
+            del data
+            if kept() is not None:
+                x = None
         if "tractable_adversarial" in stats:
             adv = AdversarialPairOracle(self.null, theta, self.ocfg)
             stats["tractable_adversarial"].append(self.queried(adv.policy(true_model)))

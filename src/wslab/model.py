@@ -255,13 +255,25 @@ def sample_with_latent(
     with probability ``(1 + alpha) / 2`` else ``Y = 1 - Z``. Deterministic
     given the generator state.
     """
+    return _sample_into(None, theta, n, rng)
+
+
+def _sample_into(
+    x: np.ndarray | None, theta: ModelParams, n: int, rng: np.random.Generator
+) -> tuple[Dataset, np.ndarray]:
+    # sample_with_latent, drawing the covariates into x: a new array when x
+    # is None, else the (n, d) covariates of a dataset that nothing reads any
+    # more. The draws are the same either way
     if n < 1:
         raise ValidationError(f"need n >= 1 samples, got {n}")
     z = rng.integers(0, 2, size=n, dtype=np.int8)
-    if theta.cov.is_identity:
-        x = rng.standard_normal((n, theta.d))
-    else:
+    if x is None:
         x = np.empty((n, theta.d))
+    else:
+        x.setflags(write=True)
+    if theta.cov.is_identity:
+        rng.standard_normal(out=x)
+    else:
         buf = np.empty((min(n, max(1, _BLOCK_VALUES // theta.d)), theta.d))
         for start in range(0, n, len(buf)):
             block = x[start : start + len(buf)]

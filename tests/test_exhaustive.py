@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from wslab import errors, exhaustive, model
-from wslab.pairing import whitened_pair_differences
+from wslab.pairing import between_class_differences, whitened_pair_differences
 from wslab.seeding import spawn_rng
 
 from conftest import ar1, spd_matrix, stream
@@ -189,10 +189,10 @@ def test_ties_go_to_the_lexicographically_first_support():
 def _solve_every_support(w, sigma, s, batch=4096):
     # reference: the unpruned batched loop, every support's pencil reduced to
     # R_S = L^{-1} G_S L^{-T} with L = cholesky(B_S) and solved exactly as
-    # eigvalsh(R_S - m I) + m, m = tr(R_S) / s; first maximum wins
+    # eigvalsh(R_S - m I) + m, m = tr(R_S) / s; first maximum wins. G is the
+    # search's own, so the comparison is of the search alone
     cov = model.KnownCovariance.of(sigma)
-    y = w if cov.is_identity else w @ cov.inv_sqrt
-    g = (y.T @ y) / w.shape[0]
+    g = exhaustive._whitened_moment(w, cov)
     b = cov.twice_precision
     best, best_support = -math.inf, ()
     supports = combinations(range(w.shape[1]), s)
@@ -223,14 +223,17 @@ _SIGMAS = {
 }
 
 
-def _pair_differences(cov, planted, n, seed):
-    # whitened pair differences of a null draw, or of a draw whose classes
-    # split on three coordinates
+def _draw(cov, planted, n, seed):
+    # a null draw, or a draw whose classes split on three coordinates
     shift = np.zeros(cov.d)
     if planted:
         shift[[0, cov.d // 2, cov.d - 1]] = 1.5
     theta = model.ModelParams(-shift / 2.0, shift / 2.0, cov, 1.0)
-    return whitened_pair_differences(model.sample_dataset(theta, n, stream(34, seed)), cov)
+    return model.sample_dataset(theta, n, stream(34, seed))
+
+
+def _pair_differences(cov, planted, n, seed):
+    return whitened_pair_differences(_draw(cov, planted, n, seed), cov)
 
 
 @pytest.mark.parametrize("planted", [False, True])
@@ -255,16 +258,18 @@ def test_every_support_tied_gives_the_first():
 
 @pytest.mark.parametrize("sigma_kind", ["ar1-0.3", "kappa-1e8"])
 def test_null_search_solves_few_supports_exactly(monkeypatch, sigma_kind):
-    # the pruning margin does not grow with the condition number of sigma
+    # the pruning margin does not grow with the condition number of sigma, and
+    # verifying in descending bound order leaves no per-batch slack
     d, s = 40, 3
     cov = model.KnownCovariance(_SIGMAS[sigma_kind](d))
-    w = _pair_differences(cov, False, 2000, 0)
-    solved = []
     exact = exhaustive._exact_values
-    monkeypatch.setattr(exhaustive, "_exact_values", lambda dev, m: solved.append(len(m)) or exact(dev, m))
-    stat, support = exhaustive.sparse_variance_statistic(w, cov, s)
-    assert sum(solved) <= 0.01 * math.comb(d, s)
-    assert (stat, support) == _solve_every_support(w, cov, s)
+    for seed in range(10):
+        w = _pair_differences(cov, False, 2000, seed)
+        solved = []
+        monkeypatch.setattr(exhaustive, "_exact_values", lambda dev, m: solved.append(len(m)) or exact(dev, m))
+        stat, support = exhaustive.sparse_variance_statistic(w, cov, s)
+        assert sum(solved) <= 0.01 * math.comb(d, s), seed
+        assert (stat, support) == _solve_every_support(w, cov, s)
 
 
 @pytest.mark.parametrize("d, s", [(16, 3), (13, 4)])
@@ -281,6 +286,104 @@ def test_ill_conditioned_search_matches_the_generalized_eigenproblem(d, s):
         assert stat == pytest.approx(best, rel=1e-12)
 
 
+def _long_double_cholesky(a):
+    # lower Cholesky factors of a stack of SPD matrices, in long double
+    chol = np.zeros_like(a)
+    for j in range(a.shape[-1]):
+        chol[..., j, j] = np.sqrt(a[..., j, j] - np.einsum("...k,...k->...", chol[..., j, :j], chol[..., j, :j]))
+        below = a[..., j + 1 :, j] - np.einsum("...ik,...k->...i", chol[..., j + 1 :, :j], chol[..., j, :j])
+        chol[..., j + 1 :, j] = below / chol[..., j, j][..., None]
+    return chol
+
+
+def _long_double_lower_inverse(chol):
+    # inverses of a stack of lower-triangular matrices, by forward substitution
+    s = chol.shape[-1]
+    eye = np.eye(s, dtype=np.longdouble)
+    inv = np.zeros_like(chol)
+    for i in range(s):
+        row = eye[i] - np.einsum("...k,...kj->...j", chol[..., i, :i], inv[..., :i, :])
+        inv[..., i, :] = row / chol[..., i, i][..., None]
+    return inv
+
+
+def _long_double_statistic(data, sigma, s):
+    # reference: G = P C P with P = Sigma^{-1} and C the raw pair differences'
+    # second moment, and each support's R_S = L^{-1} G_S L^{-T} (L =
+    # cholesky(2 P_S)), all in long double; R_S is rounded once, so float64
+    # eigvalsh loses only a rounding of its largest eigenvalue
+    x = data.covariates.astype(np.longdouble)
+    pairs = data.n // 2
+    diffs = x[1 : 2 * pairs : 2] - x[0 : 2 * pairs : 2]
+    c = np.einsum("ij,ik->jk", diffs, diffs) / pairs
+    root_inv = _long_double_lower_inverse(_long_double_cholesky(sigma.astype(np.longdouble)))
+    p = np.einsum("ki,kj->ij", root_inv, root_inv)
+    g = np.einsum("ij,jk,kl->il", p, c, p)
+    supports = np.array(list(combinations(range(len(sigma)), s)))
+    rows, cols = supports[:, :, None], supports[:, None, :]
+    inv = _long_double_lower_inverse(_long_double_cholesky(2 * p[rows, cols]))
+    r = np.einsum("kij,kjl,kml->kim", inv, g[rows, cols], inv)
+    return np.linalg.eigvalsh(r.astype(float))[:, -1].max()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than float64")
+@pytest.mark.parametrize("d, s", [(16, 3), (13, 4)])
+def test_ill_conditioned_statistic_matches_a_long_double_reference(d, s):
+    # at kappa = 1e8 the sweep's route (P C P from the raw covariates) and the
+    # whitened route are both within 1e-7 relative of the exact statistic
+    sigma = _ill_conditioned(d)
+    cov = model.KnownCovariance(sigma)
+    loose = exhaustive.Thresholds(1.0, 1.0)
+    for planted in (False, True):
+        data = _draw(cov, planted, 400, d * 10 + s)
+        reference = _long_double_statistic(data, sigma, s)
+        swept = exhaustive.run_exhaustive_test(data, cov, s, loose).variance_search.statistic
+        whitened, _ = exhaustive.sparse_variance_statistic(whitened_pair_differences(data, cov), cov, s)
+        assert swept == pytest.approx(reference, rel=1e-7)
+        assert whitened == pytest.approx(reference, rel=1e-7)
+
+
+def _labelled(d, n, ones, seed):
+    # correlated covariates with a dense mean and ``ones`` of n labels set to 1, shuffled
+    rng = stream(37, seed)
+    x = rng.standard_normal((n, d)) @ np.linalg.cholesky(ar1(d, 0.5)).T + np.linspace(-1.0, 1.0, d)
+    return model.Dataset(rng.permutation(np.arange(n) < ones).astype(int), x)
+
+
+@pytest.mark.parametrize(
+    "d, n, ones",
+    [
+        (6, 101, 50),  # odd n, m within one block
+        (6, 100, 71),  # unbalanced, the larger class truncated
+        (6, 80_001, 36_000),  # odd, unbalanced, m over several blocks
+        (200, 4000, 1800),  # m over several blocks of 327 rows
+    ],
+)
+def test_peak_coordinate_equals_the_class_difference_route(d, n, ones):
+    data = _labelled(d, n, ones, d)
+    cov = model.KnownCovariance(np.diag(np.linspace(0.5, 2.0, d)))
+    result = exhaustive.run_exhaustive_test(data, cov, 1, exhaustive.Thresholds(1.0, 1.0)).peak_coordinate
+    stat, j, sign = exhaustive.peak_coordinate_statistic(between_class_differences(data), cov)
+    assert (result.statistic, result.detail["coordinate"], result.detail["sign"]) == (stat, j, sign)
+
+
+@pytest.mark.parametrize("d, n, s", [(6, 101, 2), (40, 2000, 3), (256, 512, 1)])
+def test_identity_moment_is_the_whole_difference_product(monkeypatch, d, n, s):
+    # at identity, with the pairs in one block, G is bitwise D'D / m, and so
+    # both statistics are the whitened route's
+    assert (n // 2) * d <= exhaustive._BLOCK_VALUES
+    data = _labelled(d, n, n // 2, d + s)
+    moments = []
+    search = exhaustive._variance_search
+    monkeypatch.setattr(exhaustive, "_variance_search", lambda g, cov, s: moments.append(g) or search(g, cov, s))
+    result = exhaustive.run_exhaustive_test(data, np.eye(d), s, exhaustive.Thresholds(1.0, 1.0))
+    diffs = whitened_pair_differences(data, np.eye(d))
+    assert moments[0].tobytes() == ((diffs.T @ diffs) / (n // 2)).tobytes()
+    monkeypatch.setattr(exhaustive, "_variance_search", search)
+    stat, support = exhaustive.sparse_variance_statistic(diffs, np.eye(d), s)
+    assert (result.variance_search.statistic, result.variance_search.detail["support"]) == (stat, support)
+
+
 @pytest.mark.parametrize("s", [1, 2, 3])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_samples_raise_validation_error(s, bad):
@@ -288,6 +391,39 @@ def test_non_finite_samples_raise_validation_error(s, bad):
     w[7, 2] = bad
     with pytest.raises(errors.ValidationError, match="finite"):
         exhaustive.sparse_variance_statistic(w, np.eye(5), s)
+
+
+@pytest.mark.parametrize("sigma", [np.eye(5), ar1(5, 0.5)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_covariates_raise_validation_error(sigma, bad):
+    x = stream(29).standard_normal((20, 5))
+    x[7, 2] = bad
+    data = model.Dataset(np.arange(20) % 2, x)
+    with pytest.raises(errors.ValidationError, match="finite"):
+        exhaustive.run_exhaustive_test(data, sigma, 2, exhaustive.Thresholds(1.0, 1.0))
+
+
+def test_sample_errors_come_in_order():
+    # too few samples, then a missing class, then the support checks
+    loose = exhaustive.Thresholds(1.0, 1.0)
+    with pytest.raises(errors.TooFewSamplesError):
+        exhaustive.run_exhaustive_test(model.Dataset([1], np.zeros((1, 60))), np.eye(60), 5, loose)
+    with pytest.raises(errors.OneClassMissingError):
+        exhaustive.run_exhaustive_test(model.Dataset([1] * 4, np.zeros((4, 60))), np.eye(60), 5, loose)
+
+
+@pytest.mark.parametrize(
+    "d, s, error",
+    [(60, 5, errors.CombinatorialBudgetError), (6, 7, errors.ValidationError), (6, 0, errors.ValidationError)],
+)
+def test_support_errors_come_before_any_block(monkeypatch, d, s, error):
+    def no_blocks(x):
+        raise AssertionError("a difference block was formed")
+
+    monkeypatch.setattr(exhaustive, "_block_rows", no_blocks)
+    data = _null_dataset(d, 20, 0)
+    with pytest.raises(error):
+        exhaustive.run_exhaustive_test(data, np.eye(d), s, exhaustive.Thresholds(1.0, 1.0))
 
 
 def test_null_statistic_concentrates_near_one():

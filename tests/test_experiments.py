@@ -186,13 +186,14 @@ def test_single_cell_sweep_matches_hand_built_row():
 
 def _count_draws(monkeypatch):
     drawn = []
-    real = experiments.sample_dataset
+    real = experiments._sample_into
 
     def sample(*args):
-        drawn.append(real(*args))
-        return drawn[-1]
+        data, z = real(*args)
+        drawn.append(data)
+        return data, z
 
-    monkeypatch.setattr(experiments, "sample_dataset", sample)
+    monkeypatch.setattr(experiments, "_sample_into", sample)
     return drawn
 
 
@@ -229,6 +230,20 @@ def test_monte_carlo_tests_see_the_same_datasets(monkeypatch):
     assert len(drawn) == grid.trials * (1 + 4)
     assert [id(x) for x in seen["exhaustive"]] == [id(x) for x in drawn]
     assert [id(x) for x in seen["tractable_honest"]] == [id(x) for x in drawn]
+
+
+def test_a_kept_dataset_is_not_drawn_over(monkeypatch):
+    # a trial is drawn into the previous trial's covariates only when no test
+    # kept that dataset
+    kept = []
+    real = experiments.run_exhaustive_test
+    monkeypatch.setattr(
+        experiments, "run_exhaustive_test",
+        lambda data, *a: kept.append((data, data.covariates.copy())) or real(data, *a),
+    )
+    experiments.sweep_phase_diagram(_grid([0.5], [1.0], trials=3), tests=("exhaustive",))
+    assert len(kept) == 6
+    assert all(data.covariates.tobytes() == copy.tobytes() for data, copy in kept)
 
 
 def test_adversarial_null_transcript_runs_once_per_sweep(monkeypatch):

@@ -3,9 +3,11 @@
 numpy reports its array buffers to tracemalloc, so the traced peak of a call
 is the most memory its temporaries and result held at once. These bounds pin
 that the query family's pass and the variance search work in cache-sized
-blocks, that sampling makes no transient ``n x d`` copy, and that the
-search's support plan has its stated size and dies with its covariance,
-and that a sweep leaves no reference cycle behind, without timing anything.
+blocks, that sampling makes no transient ``n x d`` copy, that the exhaustive
+test reads the covariates in place (no pair- or class-difference array), that
+a sweep holds one dataset at a time, that the search's support plan has its
+stated size and dies with its covariance, and that a sweep leaves no
+reference cycle behind, without timing anything.
 """
 
 import gc
@@ -55,6 +57,27 @@ def test_correlated_sampling_makes_no_transient_copy():
     d, n = 200, 20_000
     theta = model.ModelParams(np.full(d, 0.1), np.zeros(d), ar1(d, 0.3), 0.5)
     peak = _traced_peak(lambda: model.sample_dataset(theta, n, stream(92)))
+    assert peak <= 1.25 * n * d * _FLOAT
+
+
+def test_exhaustive_test_reads_the_covariates_in_place():
+    # one (n/2) x d difference array would be 16 MB here; the test holds a few
+    # sampler-sized blocks and d x d matrices
+    d, n = 200, 20_000
+    cov = model.KnownCovariance(ar1(d, 0.5))
+    theta = model.ModelParams(np.zeros(d), np.r_[np.ones(3), np.zeros(d - 3)], cov, 0.5)
+    data = model.sample_dataset(theta, n, stream(95))
+    thresholds = exhaustive.default_thresholds(d, 2, n // 2, cov)
+    peak = _traced_peak(lambda: exhaustive.run_exhaustive_test(data, cov, 2, thresholds))
+    assert peak <= 4 * _FLOAT * model._BLOCK_VALUES + 3 * d * d * _FLOAT
+
+
+def test_sweep_holds_one_dataset_at_a_time():
+    # a trial's dataset is freed before the next is drawn, and no stage makes
+    # a second n x d array beside it
+    d, n = 200, 20_000
+    grid = experiments.SweepGrid((0.5,), (1.0,), d=d, s=2, n=n, trials=2, seed=3)
+    peak = _traced_peak(lambda: experiments.sweep_phase_diagram(grid, sigma=ar1(d, 0.5), threads=1))
     assert peak <= 1.25 * n * d * _FLOAT
 
 
