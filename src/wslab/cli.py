@@ -31,13 +31,14 @@ from .experiments import (
 from .heatmap import render_heatmap_svg
 from .model import KnownCovariance, sigma_from_spec
 from .theory import info_rate, tractable_rate
+from .tractable import TractableConfig
 from .verify import SUITES, checks_to_csv, run_suites
 
 log = logging.getLogger("wslab")
 
 _DEFAULTS = {
     "d": 40, "s": 2, "n": 2000, "alpha": [0.0, 0.5, 1.0], "gamma": None, "beta": None,
-    "sigma": "identity", "R": 4.0, "C": 8.0, "xi": None, "C0": 0.0,
+    "sigma": "identity", "R": TractableConfig.R, "C": TractableConfig.C, "xi": None, "C0": 0.0,
     "trials": 200, "seed": 0, "tests": list(SWEEP_TESTS), "threads": None,
     "out": None, "svg": None, "suites": sorted(SUITES),
 }

@@ -365,8 +365,8 @@ def sweep_phase_diagram(
     threads: int = 1,
     null_mu_scale: float = 0.0,
     sigma: np.ndarray | KnownCovariance | None = None,
-    R: float = 4.0,
-    C: float = 8.0,
+    R: float = TractableConfig.R,
+    C: float = TractableConfig.C,
     xi: float | None = None,
 ) -> list[SweepRow]:
     """Monte Carlo risk over the grid, one row per (cell, test).
@@ -479,8 +479,8 @@ def oracle_demo(
     n: int,
     alpha: float,
     beta: float,
-    R: float = 4.0,
-    C: float = 8.0,
+    R: float = TractableConfig.R,
+    C: float = TractableConfig.C,
     xi: float | None = None,
 ) -> OracleDemoReport:
     """Run the adversarial pair oracle against the full query family.

@@ -30,7 +30,6 @@ __all__ = [
     "snr",
     "make_restricted_alternative",
     "sample_dataset",
-    "sample_with_latent",
     "sigma_from_spec",
 ]
 
@@ -56,10 +55,10 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 class KnownCovariance:
     """The model's known covariance Sigma, validated and factored once.
 
-    Checks, in order: square (:class:`DimMismatchError`), finite, a strictly
-    positive diagonal (:class:`NonPositiveDiagonalError`), symmetric to
-    ``1e-12`` relative, positive-definite, condition number at most
-    ``MAX_CONDITION_NUMBER`` (otherwise :class:`NonSPDError`). Caches, all
+    Checks, in order: square and non-empty (:class:`DimMismatchError`),
+    finite, a strictly positive diagonal (:class:`NonPositiveDiagonalError`),
+    symmetric to ``1e-12`` relative, positive-definite, condition number at
+    most ``MAX_CONDITION_NUMBER`` (otherwise :class:`NonSPDError`). Caches, all
     read-only: a copy of ``sigma``, ``diag``, ``kappa``, the symmetric
     ``inv_sqrt`` (``inv_sqrt @ sigma @ inv_sqrt = I``), ``twice_precision =
     2 sigma^{-1}``, the lower Cholesky factor ``chol`` and ``is_identity``.
@@ -75,14 +74,14 @@ class KnownCovariance:
 
     def __post_init__(self) -> None:
         sigma = _as_readonly(self.sigma)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-            raise DimMismatchError(f"covariance must be square, got shape {sigma.shape}")
+        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.size == 0:
+            raise DimMismatchError(f"covariance must be square and non-empty, got shape {sigma.shape}")
         if not np.all(np.isfinite(sigma)):
             raise NonSPDError("covariance contains non-finite entries")
         diag = _as_readonly(np.diag(sigma))
         if np.any(diag <= 0):
             raise NonPositiveDiagonalError("covariance diagonal must be strictly positive")
-        if np.abs(sigma - sigma.T).max(initial=0.0) > _SYMMETRY_ATOL * max(1.0, np.abs(sigma).max(initial=0.0)):
+        if np.abs(sigma - sigma.T).max() > _SYMMETRY_ATOL * max(1.0, np.abs(sigma).max()):
             raise NonSPDError("covariance is not symmetric")
         vals, vecs = np.linalg.eigh(sigma)
         if vals[0] <= 0.0:
@@ -246,24 +245,12 @@ def _trusted_dataset(labels: np.ndarray, covariates: np.ndarray) -> Dataset:
     return ds
 
 
-def sample_with_latent(
-    theta: ModelParams, n: int, rng: np.random.Generator
-) -> tuple[Dataset, np.ndarray]:
-    """Draw ``n`` samples and also return the latent classes (for diagnostics).
-
-    Per sample: ``Z`` is a fair coin, ``X ~ N(mu_Z, Sigma)``, and ``Y = Z``
-    with probability ``(1 + alpha) / 2`` else ``Y = 1 - Z``. Deterministic
-    given the generator state.
-    """
-    return _sample_into(None, theta, n, rng)
-
-
 def _sample_into(
     x: np.ndarray | None, theta: ModelParams, n: int, rng: np.random.Generator
 ) -> tuple[Dataset, np.ndarray]:
-    # sample_with_latent, drawing the covariates into x: a new array when x
-    # is None, else the (n, d) covariates of a dataset that nothing reads any
-    # more. The draws are the same either way
+    # sample_dataset plus the latent classes, drawing the covariates into x:
+    # a new array when x is None, else the (n, d) covariates of a dataset
+    # that nothing reads any more. The draws are the same either way
     if n < 1:
         raise ValidationError(f"need n >= 1 samples, got {n}")
     z = rng.integers(0, 2, size=n, dtype=np.int8)
@@ -291,8 +278,13 @@ def _sample_into(
 
 
 def sample_dataset(theta: ModelParams, n: int, rng: np.random.Generator) -> Dataset:
-    """Draw ``n`` i.i.d. samples of ``(Y, X)`` under ``theta``."""
-    data, _ = sample_with_latent(theta, n, rng)
+    """Draw ``n`` i.i.d. samples of ``(Y, X)`` under ``theta``.
+
+    Per sample: ``Z`` is a fair coin, ``X ~ N(mu_Z, Sigma)``, and ``Y = Z``
+    with probability ``(1 + alpha) / 2`` else ``Y = 1 - Z``. Deterministic
+    given the generator state.
+    """
+    data, _ = _sample_into(None, theta, n, rng)
     return data
 
 

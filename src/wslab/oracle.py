@@ -21,8 +21,8 @@ Three response policies are provided:
 
 Every query is a ``CoordinateQuery``, a truncated statistic of one
 standardized coordinate. Its id, its per-sample values and its closed-form
-expectation (first and second moments of truncated Gaussian mixtures) all
-come from its fields, so every policy answers the same query.
+expectation (two truncated normal moments of its window, one at each class
+mean) all come from its fields, so every policy answers the same query.
 ``CoordinateQueryFamily`` is the test's ``4d`` queries as one object, which
 ``EmpiricalOracle.query_all`` answers in a single pass.
 """
@@ -52,7 +52,6 @@ __all__ = [
     "OracleResponse",
     "GapRecord",
     "tolerance",
-    "truncated_moments",
     "analytic_expectation",
     "OraclePolicy",
     "EmpiricalOracle",
@@ -72,9 +71,9 @@ _KINDS = {
 # so a block and its work buffer stay in a per-core cache
 _BLOCK_ELEMENTS = 1 << 15
 
-# distinct truncated-mixture expectations kept; an adversarial cell needs a
-# handful, a sweep a few hundred
-_MIXTURE_CACHE_SIZE = 4096
+# distinct (standardized mean, window) moment triples kept; an adversarial
+# cell needs a handful, a sweep a few hundred
+_MOMENT_CACHE_SIZE = 4096
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -86,11 +85,11 @@ class CoordinateQuery:
 
     ``kind`` selects the statistic, ``j`` the coordinate, ``trunc`` the
     symmetric truncation level of the standardized ``X_j / sqrt(sigma_jj)``,
-    ``bound_M`` the declared range ``[-M, M]``, which must cover the
-    statistic's values, and ``sign`` the direction (``-1`` on signed-label
-    queries only). ``id``, ``evaluate`` and
-    ``analytic_expectation`` all read these fields; queries compare and hash
-    by them.
+    ``bound_M`` the declared range ``[-M, M]``, which must be finite and
+    cover the statistic's values (so ``trunc`` is finite too), and ``sign``
+    the direction (``-1`` on signed-label queries only). ``id``,
+    ``evaluate`` and ``analytic_expectation`` all read these fields; queries
+    compare and hash by them.
     """
 
     kind: str
@@ -112,6 +111,8 @@ class CoordinateQuery:
             raise ValidationError("truncation level must be positive")
         if not self.sigma_jj > 0:
             raise ValidationError("sigma_jj must be positive")
+        if not math.isfinite(self.bound_M):
+            raise ValidationError(f"bound_M must be finite, got {self.bound_M!r}")
         if not self.bound_M >= _statistic_range(self.kind, self.trunc):
             raise ValidationError(
                 f"bound_M {self.bound_M!r} is below the range "
@@ -299,13 +300,11 @@ def tolerance(q: CoordinateQuery, expectation: float, cfg: OracleConfig) -> floa
 
 
 # ---------------------------------------------------------------------------
-# Truncated Gaussian mixture moments
+# Truncated normal moments
 # ---------------------------------------------------------------------------
 
 
 def _phi(x: float) -> float:
-    if math.isinf(x):
-        return 0.0
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
@@ -313,73 +312,52 @@ def _Phi(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / _SQRT2))
 
 
-def _xphi(x: float) -> float:
-    # x * pdf(x) with the correct limit 0 at +-inf
-    if math.isinf(x):
-        return 0.0
-    return x * _phi(x)
+@functools.lru_cache(maxsize=_MOMENT_CACHE_SIZE)
+def _truncated_moments(mean: float, t: float) -> tuple[float, float, float]:
+    """(mass, first, second) partial moments of N(mean, 1) on ``[-t, t]``.
 
-
-def truncated_moments(mean: float, lo: float, hi: float) -> tuple[float, float, float]:
-    """(mass, first, second) partial moments of N(mean, 1) on ``[lo, hi]``.
-
-    ``first = E[X 1{lo <= X <= hi}]`` and similarly for ``second``; the
-    moments are not normalized by the mass. Infinite endpoints are allowed.
+    ``first = E[X 1{|X| <= t}]`` and similarly for ``second``; the moments
+    are not normalized by the mass. Memoised: a model pair's queries share
+    a few distinct standardized means (every coordinate off the signal
+    support looks alike), and these moments are the costly part of an
+    adversarial cell.
     """
-    a = lo - mean
-    b = hi - mean
+    a = -t - mean
+    b = t - mean
     p = _Phi(b) - _Phi(a)
     dphi = _phi(a) - _phi(b)
     m1 = mean * p + dphi
-    m2 = (1.0 + mean * mean) * p + 2.0 * mean * dphi + _xphi(a) - _xphi(b)
+    m2 = (1.0 + mean * mean) * p + 2.0 * mean * dphi + a * _phi(a) - b * _phi(b)
     return p, m1, m2
 
 
-def _standardized_components(q: CoordinateQuery, theta: ModelParams) -> list[tuple[float, float]]:
-    """(weight, mean) pairs of the relevant univariate standardized mixture."""
-    j = q.j
-    sigma_jj = float(theta.sigma[j, j])
+def analytic_expectation(q: CoordinateQuery, theta: ModelParams) -> float:
+    """Exact ``E_theta[q]``: the expectation of ``q.evaluate`` under ``theta``.
+
+    With ``a_z = mu_z[j] / sqrt(sigma_jj)`` and the moments ``(p, m1, m2)``
+    of the window ``[-t, t]`` at each ``a_z``, a mean query has ``(m1(a_0)
+    + m1(a_1)) / 2`` and a second-moment query ``((m2 - p)(a_0) + (m2 -
+    p)(a_1)) / 2``. A signed-label query mixes the label's sign with the
+    class: on a symmetric window ``m1`` is odd in the mean, so its four
+    (label, class) terms fold into ``sign * alpha * (m1(a_1) - m1(a_0)) / 2``.
+    """
+    sigma_jj = float(theta.sigma[q.j, q.j])
     if not math.isclose(sigma_jj, q.sigma_jj, rel_tol=1e-9, abs_tol=0.0):
         raise NoAnalyticExpectationError(
             f"query {q.id!r} was standardized with variance {q.sigma_jj:.6g} "
             f"but the model has {sigma_jj:.6g}"
         )
     scale = math.sqrt(q.sigma_jj)
-    a0 = float(theta.mu0[j]) / scale
-    a1 = float(theta.mu1[j]) / scale
-    if q.kind != "signed_label_mean":
-        return [(0.5, a0), (0.5, a1)]
-    # distribution of (2Y - 1) * sign * X_j / sqrt(sigma_jj)
-    alpha = theta.alpha
-    s = float(q.sign)
-    return [
-        ((1.0 + alpha) / 4.0, s * a1),
-        ((1.0 - alpha) / 4.0, s * a0),
-        ((1.0 + alpha) / 4.0, -s * a0),
-        ((1.0 - alpha) / 4.0, -s * a1),
-    ]
-
-
-def analytic_expectation(q: CoordinateQuery, theta: ModelParams) -> float:
-    """Exact ``E_theta[q]``: the expectation of ``q.evaluate`` under ``theta``."""
-    return _mixture_expectation(q.kind, q.trunc, tuple(_standardized_components(q, theta)))
-
-
-@functools.lru_cache(maxsize=_MIXTURE_CACHE_SIZE)
-def _mixture_expectation(
-    kind: str, t: float, components: tuple[tuple[float, float], ...]
-) -> float:
-    """``E[q]`` of a ``kind`` query truncated at ``t`` on a standardized mixture.
-
-    Memoised: a model pair's queries share a few distinct mixtures (every
-    coordinate off the signal support looks alike), and the closed form is
-    the costly part of an adversarial cell.
-    """
-    total = 0.0
-    for weight, mean in components:
-        p, m1, m2 = truncated_moments(mean, -t, t)
-        total += weight * (m2 - p if kind == "coordinate_second_moment" else m1)
-    return total
+    p0, first0, second0 = _truncated_moments(float(theta.mu0[q.j]) / scale, q.trunc)
+    p1, first1, second1 = _truncated_moments(float(theta.mu1[q.j]) / scale, q.trunc)
+    if q.kind == "coordinate_mean":
+        return (first0 + first1) / 2.0
+    if q.kind == "coordinate_second_moment":
+        return ((second0 - p0) + (second1 - p1)) / 2.0
+    value = theta.alpha * (first1 - first0) / 2.0
+    # as in column_means, the "-" twin is 0.0 - value; starting both signs
+    # from +0.0 keeps a zero +0.0 (alpha = 0 times a negative gap is -0.0)
+    return 0.0 + value if q.sign > 0 else 0.0 - value
 
 
 # ---------------------------------------------------------------------------

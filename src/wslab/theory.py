@@ -33,7 +33,6 @@ __all__ = [
     "mixture_chi_square",
     "mixture_chi_square_enumerated",
     "hyperbolic_bound_check",
-    "log_hyperbolic_moment",
 ]
 
 
@@ -134,7 +133,7 @@ def mc_likelihood_cross_moment(
     return estimate, se
 
 
-def log_hyperbolic_moment(x: float, alpha: float) -> float:
+def _log_hyperbolic_moment(x: float, alpha: float) -> float:
     """``log(cosh(x) + alpha^2 sinh(x))`` for ``x >= 0``, overflow-free.
 
     Uses ``cosh(x) + a sinh(x) = e^x ((1 + a)/2 + (1 - a)/2 e^{-2x})``.
@@ -179,7 +178,7 @@ def mixture_chi_square(d: int, s: int, beta: float, alpha: float, n: int) -> flo
     for k in range(s + 1):
         if weights[k] == 0.0:
             continue
-        exponent = n * log_hyperbolic_moment(beta * beta * k / 2.0, alpha)
+        exponent = n * _log_hyperbolic_moment(beta * beta * k / 2.0, alpha)
         if exponent > 709.0:  # expm1 would overflow; the divergence is astronomically large
             return math.inf
         total += weights[k] * math.expm1(exponent)

@@ -65,8 +65,9 @@ class TractableConfig:
             raise ValidationError(f"need d >= 2, got {self.d}")
         if self.n < 1:
             raise ValidationError(f"need n >= 1, got {self.n}")
-        if not self.R > 0:
-            raise ValidationError(f"R must be positive, got {self.R}")
+        # R * R: R**2 raises OverflowError where the product is inf
+        if not (self.R > 0 and math.isfinite(self.R * self.R * math.log(self.d))):
+            raise ValidationError(f"R must be positive with R^2 log d finite, got {self.R}")
         if not self.C > 1:
             raise ValidationError(f"C must exceed 1, got {self.C}")
         if self.xi is None:

@@ -374,6 +374,23 @@ def test_oracle_demo_csv_matches_golden(tmp_path, capsys):
     assert "(6 of 48 queries flagged; transcripts identical: False)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("sweep", {"d": 0, "s": 1}),  # was an IndexError traceback, exit 1
+        ("risk", {"d": 0, "s": 1, "alpha": [0.5], "gamma": [0.3]}),
+        ("sweep", {"R": 1e160}),  # was an OverflowError traceback, exit 1
+        ("oracle-demo", {"R": 1e160, "alpha": 0.5, "beta": 1.0}),
+    ],
+)
+def test_empty_sigma_or_overflowing_R_exits_2(command, overrides, tmp_path, capsys):
+    cfg = _sweep_config(tmp_path, **overrides)
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_demo_missing_beta_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, "demo.json", {"d": 10, "s": 2, "n": 100, "alpha": 0.5})
     assert cli.main(["oracle-demo", "--config", cfg]) == 2

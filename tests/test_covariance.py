@@ -57,6 +57,7 @@ BAD_SIGMAS = {
     "zero-diagonal": (np.diag([1.0, 0.0]), errors.NonPositiveDiagonalError),
     "wrong-dimension": (np.eye(3), errors.DimMismatchError),
     "non-square": (np.ones((2, 3)), errors.DimMismatchError),
+    "empty": (np.zeros((0, 0)), errors.DimMismatchError),  # was a bare IndexError
 }
 
 

@@ -164,7 +164,7 @@ def _reference_sample(theta: model.ModelParams, n: int, rng: np.random.Generator
 )
 def test_sample_with_latent_matches_reference_bitwise(sigma, mu0, mu1):
     theta = model.ModelParams(mu0, mu1, sigma, 0.4)
-    data, z = model.sample_with_latent(theta, 1001, stream(7, 1))
+    data, z = model._sample_into(None, theta, 1001, stream(7, 1))
     y_ref, x_ref, z_ref = _reference_sample(theta, 1001, stream(7, 1))
     assert np.array_equal(z, z_ref)
     assert np.array_equal(data.labels, y_ref)
@@ -178,7 +178,7 @@ def test_row_blocked_sampling_matches_one_full_draw_bitwise(d, n):
     assert n * d > 2 * model._BLOCK_VALUES
     mu0 = np.full(d, 0.2)
     theta = model.ModelParams(mu0, mu0 + np.r_[0.5, np.zeros(d - 1)], _ar1(d, 0.5), 0.4)
-    data, z = model.sample_with_latent(theta, n, stream(7, 2))
+    data, z = model._sample_into(None, theta, n, stream(7, 2))
     y_ref, x_ref, z_ref = _reference_sample(theta, n, stream(7, 2))
     assert np.array_equal(z, z_ref)
     assert np.array_equal(data.labels, y_ref)
@@ -187,7 +187,7 @@ def test_row_blocked_sampling_matches_one_full_draw_bitwise(d, n):
 
 def test_no_corruption_keeps_labels():
     theta = model.ModelParams(np.zeros(2), np.ones(2), np.eye(2), 1.0)
-    data, z = model.sample_with_latent(theta, 2000, stream(2))
+    data, z = model._sample_into(None, theta, 2000, stream(2))
     assert np.array_equal(data.labels, z)
 
 
@@ -195,7 +195,7 @@ def test_no_corruption_keeps_labels():
 def test_label_agreement_rate(alpha, expect):
     theta = model.ModelParams(np.zeros(2), np.ones(2), np.eye(2), alpha)
     n = 100_000
-    data, z = model.sample_with_latent(theta, n, stream(3, int(alpha * 10)))
+    data, z = model._sample_into(None, theta, n, stream(3, int(alpha * 10)))
     agree = float(np.mean(data.labels == z))
     se = math.sqrt(expect * (1 - expect) / n)
     assert abs(agree - expect) <= 3 * se

@@ -71,14 +71,15 @@ def test_tolerance_branch_crossover_identity():
 
 
 def test_truncated_moments_untruncated_limits():
-    p, m1, m2 = oracle.truncated_moments(0.7, -math.inf, math.inf)
+    # a window of 40 standard deviations holds all of the mass in float64
+    p, m1, m2 = oracle._truncated_moments(0.7, 40.0)
     assert p == pytest.approx(1.0, abs=1e-15)
     assert m1 == pytest.approx(0.7, rel=1e-12)
     assert m2 == pytest.approx(1.0 + 0.49, rel=1e-12)
 
 
 def test_truncated_moments_symmetric_interval_zero_mean():
-    p, m1, m2 = oracle.truncated_moments(0.0, -1.0, 1.0)
+    p, m1, m2 = oracle._truncated_moments(0.0, 1.0)
     assert m1 == 0.0
     assert p == pytest.approx(2 * 0.341344746, abs=1e-6)
     assert 0.0 < m2 < p  # mass pulled toward the center
@@ -94,8 +95,15 @@ def test_analytic_expectation_null_symmetry():
 
 def test_analytic_second_moment_untruncated_null():
     theta = model.ModelParams(np.zeros(2), np.zeros(2), np.eye(2), 0.0)
-    q = oracle.CoordinateQuery("coordinate_second_moment", 0, math.inf, 1.0, math.inf)
+    q = oracle.CoordinateQuery("coordinate_second_moment", 0, 40.0, 1.0, 40.0 * 40.0 - 1.0)
     assert oracle.analytic_expectation(q, theta) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("trunc", [math.inf, 2.0])
+def test_unbounded_query_is_rejected(trunc):
+    # an infinite bound makes an infinite tolerance, under which any answer is legal
+    with pytest.raises(errors.ValidationError, match="finite"):
+        oracle.CoordinateQuery("coordinate_mean", 0, trunc, 1.0, math.inf)
 
 
 def test_analytic_expectation_matches_monte_carlo():
@@ -348,20 +356,21 @@ def test_adversarial_views_answer_from_the_assessed_expectations(monkeypatch):
         assert r1.value == (exact(q, theta1) if rec.flagged else r0.value)
 
 
-def test_memoised_expectations_equal_fresh_ones_bitwise():
-    # the memo keys on component means, where -0.0 == 0.0 (theta1 is -v/2,
+def test_memoised_expectations_equal_fresh_ones_bitwise(monkeypatch):
+    # the memo keys on standardized means, where -0.0 == 0.0 (theta1 is -v/2,
     # +v/2: off the support its means are -0.0 and 0.0); a shared entry must
     # still answer every query exactly as a fresh evaluation would
     theta0, theta1 = _pair(alpha=0.5, beta=1.0)
     queries = build_queries(TractableConfig(d=4, n=200), np.eye(4))
-    fresh = oracle._mixture_expectation.__wrapped__
-    oracle._mixture_expectation.cache_clear()
-    for theta in (theta1, theta0, theta1):
-        for q in queries:
-            components = tuple(oracle._standardized_components(q, theta))
-            got = oracle.analytic_expectation(q, theta)
-            assert _bits(got) == _bits(fresh(q.kind, q.trunc, components)), q
-    assert oracle._mixture_expectation.cache_info().misses < 2 * len(queries)
+    cases = [(q, theta) for theta in (theta1, theta0, theta1) for q in queries]
+    memoised = oracle._truncated_moments
+    memoised.cache_clear()
+    got = [oracle.analytic_expectation(q, theta) for q, theta in cases]
+    # one window and three standardized means: -beta/2, 0 and beta/2
+    assert memoised.cache_info().misses == 3
+    monkeypatch.setattr(oracle, "_truncated_moments", memoised.__wrapped__)
+    fresh = [oracle.analytic_expectation(q, theta) for q, theta in cases]
+    assert np.array_equal(_bits(got), _bits(fresh))
 
 
 def test_adversarial_report_gap_vs_tolerance_fields():

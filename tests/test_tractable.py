@@ -15,6 +15,13 @@ def _cfg(d=6, n=1000, R=4.0, C=8.0, xi=None):
     return tractable.TractableConfig(d=d, n=n, R=R, C=C, xi=xi)
 
 
+@pytest.mark.parametrize("R", [1e160, math.inf])
+def test_R_with_overflowing_square_rejected(R):
+    # R^2 log d sets the second-moment bound and tau_var; 1e160 ** 2 raises OverflowError
+    with pytest.raises(errors.ValidationError, match="R"):
+        _cfg(R=R)
+
+
 def test_query_count_is_4d():
     for d in (3, 7):
         cfg = _cfg(d=d)
