@@ -207,13 +207,7 @@ def _variance_search(g: np.ndarray, cov: KnownCovariance, s: int) -> tuple[float
 
     if s == 2:
         jj, kk = np.triu_indices(cov.d, k=1)
-        g00, g11, g01 = np.diag(g)[jj], np.diag(g)[kk], g[jj, kk]
-        b00, b11, b01 = np.diag(b)[jj], np.diag(b)[kk], b[jj, kk]
-        det_b = b00 * b11 - b01 * b01
-        tr = (b11 * g00 + b00 * g11 - 2.0 * b01 * g01) / det_b
-        det = (g00 * g11 - g01 * g01) / det_b
-        disc = np.maximum(tr * tr - 4.0 * det, 0.0)
-        lam = 0.5 * (tr + np.sqrt(disc))
+        lam = _pair_values(g, b, jj, kk)
         idx = int(np.argmax(lam))
         return float(lam[idx]), (int(jj[idx]), int(kk[idx]))
 
@@ -236,6 +230,43 @@ def _variance_search(g: np.ndarray, cov: KnownCovariance, s: int) -> tuple[float
     reach = np.flatnonzero(bounds >= best)
     best, best_at = _verify(plan, g, bounds, reach[np.argsort(bounds[reach])[::-1]], best, best_at)
     return best, tuple(plan.supports[best_at].tolist())
+
+
+def _pair_values(g: np.ndarray, b: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> np.ndarray:
+    # the larger root of det(G_S - lam B_S) = 0 for every pair S = (jj, kk):
+    # lam = 0.5 (tr + sqrt(max(tr^2 - 4 det, 0))) with
+    # tr = (b11 g00 + b00 g11 - 2 b01 g01) / det_b,
+    # det = (g00 g11 - g01^2) / det_b and det_b = b00 b11 - b01^2, each
+    # operation in that order. Entries are gathered as they are needed and
+    # buffers reused, so no more than five pair-long arrays are alive at once
+    # (the indices are in range; unlike "raise", "clip" fills out in place)
+    gd, bd = np.diag(g), np.diag(b)
+    b00, b11, b01 = bd[jj], bd[kk], b[jj, kk]
+    det_b = b00 * b11
+    work = np.multiply(b01, b01)
+    det_b -= work
+    tr = b11
+    tr *= np.take(gd, jj, out=work, mode="clip")  # b11 g00
+    g11 = np.take(gd, kk, out=work, mode="clip")
+    b00 *= g11
+    tr += b00
+    del b00
+    g01 = g[jj, kk]
+    b01 *= 2.0
+    b01 *= g01
+    tr -= b01
+    det = np.take(gd, jj, out=b01, mode="clip")  # g00
+    det *= g11
+    det -= np.multiply(g01, g01, out=g11)
+    tr /= det_b
+    det /= det_b
+    disc = np.multiply(tr, tr, out=det_b)
+    det *= 4.0
+    disc -= det
+    np.maximum(disc, 0.0, out=disc)
+    tr += np.sqrt(disc, out=disc)
+    tr *= 0.5
+    return tr
 
 
 def _verify(plan: _SupportPlan, g: np.ndarray, bounds: np.ndarray, order: np.ndarray,

@@ -25,6 +25,12 @@ expectation (two truncated normal moments of its window, one at each class
 mean) all come from its fields, so every policy answers the same query.
 ``CoordinateQueryFamily`` is the test's ``4d`` queries as one object, which
 ``EmpiricalOracle.query_all`` answers in a single pass.
+
+The honest oracle reads the covariates in row blocks of ``_BLOCK_ELEMENTS //
+d`` rows, in place. A query's sum adds the rows of each block in row order
+and the block sums in block order, starting from ``+0.0``; the family pass
+and the per-query path both sum that way, so a query's answer has the same
+bits however it is issued.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ _KINDS = {
     "signed_label_mean": "signed_mean[{0}{1}]",
 }
 
-# float64 elements in one column block of the family's single pass: 256 KiB,
+# float64 elements in one row block of the honest oracle's pass: 256 KiB,
 # so a block and its work buffer stay in a per-core cache
 _BLOCK_ELEMENTS = 1 << 15
 
@@ -141,26 +147,43 @@ def _truncated_statistic(
     kind: str,
     signs: np.ndarray | None,
     z: np.ndarray,
-    inside: np.ndarray,
+    inside: np.ndarray | None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-sample values of a coordinate query on standardized covariates ``z``.
 
-    ``z`` is one column of shape ``(n,)`` or a block of shape ``(n, b)``,
-    one column per query; ``inside`` is ``|z| <= trunc`` and ``signs`` the
-    labels as ``2y - 1`` (read by signed-label queries only), which
-    broadcast against ``z``. The values are
+    ``z`` is one column of shape ``(m,)`` or a block of shape ``(m, b)``,
+    one column per query; ``inside`` is ``|z| <= trunc``, or ``None`` when
+    every value lies inside, and ``signs`` the labels as ``2y - 1`` (read by
+    signed-label queries only), which broadcast against ``z``. The values are
     ``z 1{inside}``, ``(z^2 - 1) 1{inside}`` or ``(2y - 1) z 1{inside}`` for
-    the three kinds, written to ``out`` when it is given.
+    the three kinds, written to ``out`` when it is given; with no mask a mean
+    query's values are ``z`` itself.
     """
     if kind == "coordinate_mean":
-        return np.multiply(z, inside, out=out)
+        return z if inside is None else np.multiply(z, inside, out=out)
     if kind == "coordinate_second_moment":
         out = np.multiply(z, z, out=out)
         np.subtract(out, 1.0, out=out)
     else:
         out = np.multiply(signs, z, out=out)
-    return np.multiply(out, inside, out=out)
+    return out if inside is None else np.multiply(out, inside, out=out)
+
+
+def _rows_per_block(d: int) -> int:
+    """Rows of an ``n x d`` covariate array in one block of the honest pass."""
+    return max(1, _BLOCK_ELEMENTS // max(d, 1))
+
+
+def _row_order_sum(block: np.ndarray) -> np.ndarray:
+    """Column sums of a C-ordered ``(m, b)`` block, adding its rows in order.
+
+    ``np.add.reduce`` does so for two or more columns; a lone column is one
+    contiguous run, which it would sum pairwise, so that one accumulates.
+    """
+    if block.shape[1] > 1:
+        return np.add.reduce(block, axis=0)
+    return np.add.accumulate(block, axis=0)[-1]
 
 
 class CoordinateQueryFamily(tuple):
@@ -171,9 +194,10 @@ class CoordinateQueryFamily(tuple):
     ``-``). Coordinate ``j`` is standardized by ``sqrt(diag[j])`` and
     truncated at ``trunc``; the mean and signed queries are bounded by
     ``bound_mean``, the second moments by ``bound_var``. Each element is a
-    ``CoordinateQuery`` whose ``evaluate`` makes its own pass over one
-    column; ``column_means`` answers the whole family in one pass over
-    column blocks, with the same values bit for bit. Families are immutable.
+    ``CoordinateQuery`` whose ``evaluate`` gives its values on any rows;
+    ``column_means`` answers the whole family in one pass over row blocks,
+    summed in the order ``EmpiricalOracle`` sums a single query, so the
+    values agree bit for bit. Families are immutable.
     """
 
     def __new__(
@@ -202,36 +226,41 @@ class CoordinateQueryFamily(tuple):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def column_means(self, labels: np.ndarray, covariates: np.ndarray) -> np.ndarray:
-        """The ``4d`` sample means in issue order, from one pass over column blocks.
+        """The ``4d`` sample means in issue order, from one pass over row blocks.
 
-        A block holds about ``_BLOCK_ELEMENTS`` standardized values (one
-        column when ``n`` exceeds that). Its ``|z| <= trunc`` mask is made
-        once and the three statistics share one work buffer, so the pass
-        allocates three block-sized arrays in all. Every block is
-        Fortran-ordered: its column sums run along contiguous memory and use
-        the same pairwise summation as a single column's sum.
+        A block is ``_BLOCK_ELEMENTS // d`` consecutive rows (at least one),
+        standardized into a C-ordered buffer, or read in place when every
+        scale is 1.0. Its ``|z|`` goes to one work buffer; only a block with
+        a value beyond ``trunc`` makes the mask and multiplies by it (a
+        factor 1.0 changes no bits). Each statistic's column sums add the
+        block's rows in order, and the block sums add in block order from
+        ``+0.0``, so every column is summed in row order within its block.
         """
         n, d = covariates.shape
         if d != self.scales.shape[0]:
             raise ValidationError(
                 f"covariates have {d} columns, the query family {self.scales.shape[0]}"
             )
-        sums = np.empty((3, d))
+        sums = np.zeros((3, d))
         signs = (2.0 * labels - 1.0)[:, None]
-        width = min(d, max(1, _BLOCK_ELEMENTS // max(n, 1)))
-        z_block = np.empty((n, width), order="F")
-        work_block = np.empty((n, width), order="F")
-        inside_block = np.empty((n, width), dtype=bool, order="F")
-        for lo in range(0, d, width):
-            hi = min(lo + width, d)
-            z = np.divide(covariates[:, lo:hi], self.scales[lo:hi], out=z_block[:, : hi - lo])
-            work = work_block[:, : hi - lo]
-            inside = np.less_equal(np.abs(z, out=work), self.trunc, out=inside_block[:, : hi - lo])
+        rows = max(1, min(n, _rows_per_block(d)))
+        unit = bool(np.all(self.scales == 1.0))
+        z_block = np.empty((rows, d))
+        work_block = np.empty((rows, d))
+        inside_block = np.empty((rows, d), dtype=bool)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            z = covariates[lo:hi]
+            if not (unit and z.flags.c_contiguous):
+                z = np.divide(z, self.scales, out=z_block[: hi - lo])
+            work = np.abs(z, out=work_block[: hi - lo])
+            inside = None
+            if not work.max() <= self.trunc:
+                inside = np.less_equal(work, self.trunc, out=inside_block[: hi - lo])
             for row, kind in enumerate(_KINDS):
-                stat = _truncated_statistic(kind, signs, z, inside, out=work)
-                np.add.reduce(stat, axis=0, out=sums[row, lo:hi])
+                sums[row] += _row_order_sum(_truncated_statistic(kind, signs[lo:hi], z, inside, out=work))
         # The "-" half is the sum of the negated "+" values: exactly -sum,
-        # except that a zero sum stays +0.0 (numpy sums start from +0.0),
+        # except that a zero sum stays +0.0 (the sums start from +0.0),
         # which 0.0 - sum gives and -sum does not.
         return np.concatenate([sums.ravel(), 0.0 - sums[2]]) / n
 
@@ -403,20 +432,21 @@ class OraclePolicy:
 class EmpiricalOracle(OraclePolicy):
     """Honest oracle: responds with the sample average of the query.
 
-    Responses are deterministic given the dataset and invariant to sample
-    order. Conformance against the exact tolerance is a statement about the
-    data distribution and is checked in tests, not here.
+    Responses are deterministic given the dataset and, up to rounding,
+    invariant to sample order. Conformance against the exact tolerance is a
+    statement about the data distribution and is checked in tests, not here.
 
-    ``query_all`` answers a ``CoordinateQueryFamily`` in one blocked pass
-    over the covariates; any other query runs its own ``evaluate``. For
-    those per-query calls a column-major copy of the covariates is made
-    once, on the first of them, because each query slices one column.
+    ``query_all`` answers a ``CoordinateQueryFamily`` in one pass over row
+    blocks of the covariates; any other query runs its own ``evaluate`` on
+    its column, read in place, and sums the values over the same row
+    blocks: in row order within a block, the block sums in block order from
+    ``+0.0``, as the family pass does. So a query's answer does not depend
+    on how it was issued.
     """
 
     def __init__(self, data: Dataset, cfg: OracleConfig) -> None:
         super().__init__(cfg)
         self.data = data
-        self._columns: np.ndarray | None = None
 
     def query_all(self, queries: Sequence[CoordinateQuery]) -> list[OracleResponse]:
         remaining = self.cfg.budget_T - self._issued
@@ -427,11 +457,16 @@ class EmpiricalOracle(OraclePolicy):
         return [OracleResponse(value=v, query_id=q.id) for q, v in zip(queries, values.tolist())]
 
     def _respond(self, q: CoordinateQuery) -> float:
-        if self._columns is None:
-            self._columns = np.asfortranarray(self.data.covariates)
-        values = q.evaluate(self.data.labels, self._columns)
-        # values.mean() divides this same sum by n, with more per-call overhead
-        return float(np.add.reduce(values) / self.data.n)
+        values = q.evaluate(self.data.labels, self.data.covariates)
+        rows = _rows_per_block(self.data.d)
+        full = len(values) - len(values) % rows
+        # the full blocks' sums in row order (accumulate adds in order), then the tail's
+        blocks = np.add.accumulate(values[:full].reshape(-1, rows), axis=1)[:, -1].tolist()
+        blocks += np.add.accumulate(values[full:])[-1:].tolist()
+        total = np.float64(0.0)  # an empty dataset answers nan, as the family pass does
+        for block in blocks:
+            total += block
+        return float(total / self.data.n)
 
 
 class WorstCaseOracle(OraclePolicy):

@@ -1,7 +1,14 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import wslab
 from wslab.seeding import spawn_rng
+
+# the directory this wslab is imported from: src/ of a checkout, or site-packages
+_SOURCE_ROOT = str(Path(wslab.__file__).resolve().parent.parent)
 
 
 @pytest.fixture()
@@ -24,3 +31,12 @@ def ar1(d: int, rho: float) -> np.ndarray:
 
 def stream(*key: int) -> np.random.Generator:
     return spawn_rng(20260808, *key)
+
+
+def child_env(env: dict[str, str] | None = None) -> dict[str, str]:
+    """``env`` (default: this environment) with this wslab's directory first on
+    ``PYTHONPATH``, so a child interpreter imports the same wslab, installed
+    or not."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (_SOURCE_ROOT, env.get("PYTHONPATH")) if p)
+    return env

@@ -13,6 +13,8 @@ from wslab import cli
 from wslab.theory import info_rate, tractable_rate
 from wslab.verify import SUITES, CheckResult
 
+from conftest import child_env
+
 
 def _write_config(tmp_path, name, payload):
     path = tmp_path / name
@@ -434,6 +436,7 @@ def test_sweep_accepts_diagonal_sigma(tmp_path):
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "wslab.cli", "rates"],
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -450,7 +453,7 @@ def test_pooled_sweep_logs_only_at_info_and_writes_the_same_bytes(tmp_path):
     code = "import sys; from wslab import cli, experiments; experiments._VALUES_PER_WORKER = 1; sys.exit(cli.main())"
     runs = {}
     for level, threads in ((None, "2"), ("info", "2"), ("info", "1")):
-        env = {k: v for k, v in os.environ.items() if k != "WSL_LOG"}
+        env = child_env({k: v for k, v in os.environ.items() if k != "WSL_LOG"})
         env.update({"WSL_LOG": level} if level else {})
         argv = [sys.executable, "-c", code, "sweep", "--config", cfg, "--out", str(out), "--threads", threads]
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120, check=True)

@@ -3,11 +3,12 @@
 numpy reports its array buffers to tracemalloc, so the traced peak of a call
 is the most memory its temporaries and result held at once. These bounds pin
 that the query family's pass and the variance search work in cache-sized
-blocks, that sampling makes no transient ``n x d`` copy, that the exhaustive
-test reads the covariates in place (no pair- or class-difference array), that
-a sweep holds one dataset at a time, that the search's support plan has its
-stated size and dies with its covariance, and that a sweep leaves no
-reference cycle behind, without timing anything.
+blocks, that the s = 2 search holds a few pair-long arrays, that sampling
+makes no transient ``n x d`` copy, that the exhaustive test reads the
+covariates in place (no pair- or class-difference array), that a sweep holds
+one dataset at a time, that the search's support plan has its stated size
+and dies with its covariance, and that a sweep leaves no reference cycle
+behind, without timing anything.
 """
 
 import gc
@@ -70,6 +71,17 @@ def test_exhaustive_test_reads_the_covariates_in_place():
     thresholds = exhaustive.default_thresholds(d, 2, n // 2, cov)
     peak = _traced_peak(lambda: exhaustive.run_exhaustive_test(data, cov, 2, thresholds))
     assert peak <= 4 * _FLOAT * model._BLOCK_VALUES + 3 * d * d * _FLOAT
+
+
+def test_pair_search_holds_a_few_pair_long_arrays():
+    # the s = 2 closed form over all C(d, 2) pairs: two index arrays and five
+    # float buffers, not an array per intermediate
+    d = 200
+    cov = model.KnownCovariance(ar1(d, 0.5))
+    w = stream(96).standard_normal((400, d))
+    g = w.T @ w / len(w)
+    peak = _traced_peak(lambda: exhaustive._variance_search(g, cov, 2))
+    assert peak <= 8 * math.comb(d, 2) * _FLOAT
 
 
 def test_sweep_holds_one_dataset_at_a_time():

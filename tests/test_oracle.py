@@ -416,42 +416,84 @@ def _closure_values(q: oracle.CoordinateQuery, y: np.ndarray, x: np.ndarray) -> 
     return (2.0 * y - 1.0) * z * inside
 
 
+_BLOCK = oracle._BLOCK_ELEMENTS
+
+
+def _row_block_mean(q: oracle.CoordinateQuery, y: np.ndarray, x: np.ndarray) -> float:
+    # the honest oracle's summation order written out: blocks of _BLOCK // d
+    # rows, each block's values added in row order, the block sums added in
+    # block order from +0.0
+    rows = max(1, _BLOCK // x.shape[1])
+    total = 0.0
+    for lo in range(0, len(x), rows):
+        values = _closure_values(q, y[lo : lo + rows], x[lo : lo + rows]).tolist()
+        block = values[0]
+        for v in values[1:]:
+            block += v
+        total += block
+    return total / len(x)
+
+
 def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
-_BLOCK = oracle._BLOCK_ELEMENTS
+def _covariates(case: str, rng: np.random.Generator, n: int, scales: np.ndarray, trunc: float) -> np.ndarray:
+    if case != "mixed-mask":
+        # spread 3: many |z| beyond the window, and beside a lone column a
+        # column wholly beyond it
+        x = rng.standard_normal((n, len(scales))) * scales * 3.0
+        if len(scales) > 1:
+            x[:, -1] = 2.0 * trunc * scales[-1]
+        return x
+    # every |z| inside the window but one, in the middle block
+    x = np.clip(rng.standard_normal((n, len(scales))), -trunc, trunc) * scales
+    x[n // 2, 1] = 1.5 * trunc * scales[1]
+    return x
 
 
 @pytest.mark.parametrize(
-    "d, n, spread, blocks, tail",
+    "case, d, n, blocks, tail, unit",
     [
-        # odd n; two full blocks and a 7-column tail
-        pytest.param(2 * (_BLOCK // 3001) + 7, 3001, 3.0, 3, 7, id="partial-tail"),
-        pytest.param(3, _BLOCK + 1, 3.0, 3, 1, id="column-per-block"),
-        # exactly full
-        pytest.param(_BLOCK // 2000, 2000, 1.0, 1, _BLOCK // 2000, id="single-block"),
+        # odd n; two full blocks of 1213 rows and a 575-row tail
+        pytest.param("partial-tail", 27, 3001, 3, 3001 - 2 * (_BLOCK // 27), False, id="partial-tail"),
+        # n below the block's 819 rows
+        pytest.param("single-block", 40, 500, 1, 500, False, id="single-block"),
+        # d > _BLOCK: one row per block, read in place
+        pytest.param("row-per-block", _BLOCK + 1, 3, 3, 1, True, id="row-per-block"),
+        # unit scales, read in place; the middle of three blocks takes the
+        # masked path, the other two the unmasked one, in the same column
+        pytest.param("mixed-mask", 8, 3 * (_BLOCK // 8), 3, _BLOCK // 8, True, id="mixed-mask"),
+        # one column: numpy would add it pairwise
+        pytest.param("one-coordinate", 1, _BLOCK + 4001, 2, 4001, False, id="one-coordinate"),
     ],
 )
-def test_blocked_family_equals_per_query_path_bitwise(d, n, spread, blocks, tail):
-    width = max(1, _BLOCK // n)  # the blocking column_means uses
-    assert (-(-d // width), d - (blocks - 1) * width) == (blocks, tail)
+def test_blocked_family_equals_per_query_path_bitwise(case, d, n, blocks, tail, unit):
+    rows = max(1, _BLOCK // d)  # the blocking both paths use
+    assert (-(-n // rows), n - (blocks - 1) * rows) == (blocks, tail)
     rng = stream(61, d)
-    diag = np.resize([0.25, 1.0, 4.0, 2.5], d)  # non-unit variances
-    cfg = TractableConfig(d=d, n=n)
-    queries = build_queries(cfg, np.diag(diag))
-    x = rng.standard_normal((n, d)) * np.sqrt(diag) * spread  # spread > 1: many |z| beyond truncation
-    x[:, -1] = 2.0 * cfg.trunc_level * math.sqrt(diag[-1])  # a column wholly beyond truncation
+    diag = np.ones(d) if unit else np.resize([0.25, 1.0, 4.0, 2.5], d)
+    trunc = 3.0
+    queries = oracle.CoordinateQueryFamily(diag, trunc, trunc, trunc * trunc - 1.0)
+    x = _covariates(case, rng, n, np.sqrt(diag), trunc)
     data = model.Dataset(labels=rng.integers(0, 2, n), covariates=x)
+    outside = np.abs(x / np.sqrt(diag)) > trunc
+    if case == "mixed-mask":
+        assert [int(outside[lo : lo + rows].sum()) for lo in range(0, n, rows)] == [0, 1, 0]
+    else:
+        assert outside.any()
 
-    blocked = oracle.EmpiricalOracle(data, default_oracle_config(cfg)).query_all(queries)
-    single = oracle.EmpiricalOracle(data, default_oracle_config(cfg))
-    per_query = [single.query(q) for q in queries]
-    reference = [float(_closure_values(q, data.labels, x).mean()) for q in queries]
-
+    cfg = oracle.OracleConfig(n=n, xi=0.05, eta=1.0, budget_T=4 * d)
+    blocked = oracle.EmpiricalOracle(data, cfg).query_all(queries)
     assert [r.query_id for r in blocked] == [q.id for q in queries]
-    assert np.array_equal(_bits([r.value for r in blocked]), _bits(reference))
-    assert np.array_equal(_bits([r.value for r in per_query]), _bits(reference))
+    # every query when d is small; a spread of them, the last included, when
+    # the family is too long to issue one by one
+    checked = sorted({*range(0, 4 * d, max(1, d // 256)), 4 * d - 1})
+    single = oracle.EmpiricalOracle(data, cfg)
+    per_query = [single.query(queries[i]).value for i in checked]
+    reference = [_row_block_mean(queries[i], data.labels, x) for i in checked]
+    assert np.array_equal(_bits([blocked[i].value for i in checked]), _bits(reference))
+    assert np.array_equal(_bits(per_query), _bits(reference))
 
 
 def test_family_budget_is_counted_per_query():

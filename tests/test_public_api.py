@@ -1,13 +1,13 @@
 import importlib
-import os
 import pkgutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import wslab
+
+from conftest import child_env
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(wslab.__path__))
 
@@ -35,10 +35,8 @@ def test_package_imports():
 
 def _fresh_interpreter(code: str) -> str:
     """Standard output of ``code`` run by a new Python process that imports this wslab."""
-    src = str(Path(wslab.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60, check=True
     )
     return result.stdout.strip()
 
