@@ -206,7 +206,7 @@ def _variance_search(g: np.ndarray, cov: KnownCovariance, s: int) -> tuple[float
         return float(ratios[j]), (j,)
 
     if s == 2:
-        jj, kk = np.triu_indices(cov.d, k=1)
+        jj, kk = _pair_index(cov)
         lam = _pair_values(g, b, jj, kk)
         idx = int(np.argmax(lam))
         return float(lam[idx]), (int(jj[idx]), int(kk[idx]))
@@ -292,8 +292,20 @@ class _SupportPlan(NamedTuple):
     inv_chol_t: np.ndarray  # (C(d, s), s, s) L_S^{-T}, L_S = cholesky(B_S)
 
 
-# one plan per (covariance, s), freed with its covariance
-_PLANS: weakref.WeakKeyDictionary[KnownCovariance, dict[int, _SupportPlan]] = weakref.WeakKeyDictionary()
+# one plan per (covariance, s), freed with its covariance; at s = 2, the
+# pair index arrays of _pair_index
+_PLANS: weakref.WeakKeyDictionary[
+    KnownCovariance, dict[int, _SupportPlan | tuple[np.ndarray, np.ndarray]]
+] = weakref.WeakKeyDictionary()
+
+
+def _pair_index(cov: KnownCovariance) -> tuple[np.ndarray, np.ndarray]:
+    # the (j, k), j < k, of every pair in lexicographic order; shared, so
+    # never written. They stay writeable: np.take copies a read-only index
+    plans = _PLANS.setdefault(cov, {})
+    if 2 not in plans:
+        plans[2] = np.triu_indices(cov.d, k=1)
+    return plans[2]
 
 
 def _support_plan(cov: KnownCovariance, s: int) -> _SupportPlan:

@@ -504,7 +504,7 @@ def oracle_demo(
     alt = run_tractable_test(adv.policy(1), cfg, eye)
     return OracleDemoReport(
         records=tuple(adv.report),
-        transcripts_identical=all(a.value == b.value for a, b in zip(null.transcript, alt.transcript)),
+        transcripts_identical=bool(np.array_equal(null.answers, alt.answers)),
         reject_null=null.reject,
         reject_alt=alt.reject,
     )

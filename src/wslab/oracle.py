@@ -23,14 +23,20 @@ Every query is a ``CoordinateQuery``, a truncated statistic of one
 standardized coordinate. Its id, its per-sample values and its closed-form
 expectation (two truncated normal moments of its window, one at each class
 mean) all come from its fields, so every policy answers the same query.
-``CoordinateQueryFamily`` is the test's ``4d`` queries as one object, which
-``EmpiricalOracle.query_all`` answers in a single pass.
+``CoordinateQueryFamily`` is the test's ``4d`` queries as one object. Every
+policy's ``answer_all`` answers a family as one float vector in issue order:
+the honest oracle from one pass over the covariates, the worst-case and
+adversarial oracles from the family's expectations, tolerances and flags
+computed as arrays, with the same formulas and operation order as a single
+query's, so each answer has the same bits however it is issued. An
+``OracleResponse`` is built only where a caller asks for one (``query``,
+``query_all``), and a pair oracle's gap records only when its ``report``
+is read.
 
 The honest oracle reads the covariates in row blocks of ``_BLOCK_ELEMENTS //
 d`` rows, in place. A query's sum adds the rows of each block in row order
 and the block sums in block order, starting from ``+0.0``; the family pass
-and the per-query path both sum that way, so a query's answer has the same
-bits however it is issued.
+and the per-query path both sum that way.
 """
 
 from __future__ import annotations
@@ -197,7 +203,9 @@ class CoordinateQueryFamily(tuple):
     ``CoordinateQuery`` whose ``evaluate`` gives its values on any rows;
     ``column_means`` answers the whole family in one pass over row blocks,
     summed in the order ``EmpiricalOracle`` sums a single query, so the
-    values agree bit for bit. Families are immutable.
+    values agree bit for bit. ``diag``, ``scales``, ``bounds`` and ``ids``
+    hold the queries' fields as arrays (the ids as a tuple), which the
+    array paths read instead of the queries. Families are immutable.
     """
 
     def __new__(
@@ -216,10 +224,16 @@ class CoordinateQueryFamily(tuple):
             for j in range(diag.shape[0])
         ]
         family = super().__new__(cls, queries)
-        scales = np.sqrt(diag)
-        scales.setflags(write=False)
-        object.__setattr__(family, "scales", scales)
+        arrays = {
+            "diag": diag.copy(),
+            "scales": np.sqrt(diag),
+            "bounds": np.array([q.bound_M for q in queries], dtype=float),
+        }
+        for name, values in arrays.items():
+            values.setflags(write=False)
+            object.__setattr__(family, name, values)
         object.__setattr__(family, "trunc", trunc)
+        object.__setattr__(family, "ids", tuple(q.id for q in queries))
         return family
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -263,6 +277,27 @@ class CoordinateQueryFamily(tuple):
         # except that a zero sum stays +0.0 (the sums start from +0.0),
         # which 0.0 - sum gives and -sum does not.
         return np.concatenate([sums.ravel(), 0.0 - sums[2]]) / n
+
+    def _expectations(self, theta: ModelParams) -> np.ndarray | None:
+        """``E_theta`` of every query in issue order, or ``None`` where some
+        query has no closed form under ``theta`` or ``theta`` has another
+        dimension, for the per-query path to answer or raise.
+
+        The standardized means ``mu_z / scales`` of both classes take one
+        memoised ``_truncated_moments`` call per distinct value, and the
+        closed forms are ``_closed_forms``, as for a single query.
+        """
+        d = self.scales.shape[0]
+        if theta.d != d or _variance_apart(self.diag, theta.cov.diag).any():
+            return None
+        standardized = np.divide(np.stack([theta.mu0, theta.mu1]), self.scales).ravel()
+        distinct, at = np.unique(standardized, return_inverse=True)
+        moments = np.array([_truncated_moments(mean, self.trunc) for mean in distinct.tolist()])
+        mass, first, second = moments.T[:, at].reshape(3, 2, d)
+        mean, second_moment, signed = _closed_forms(
+            theta.alpha, mass[0], first[0], second[0], mass[1], first[1], second[1]
+        )
+        return np.concatenate([mean, second_moment, 0.0 + signed, 0.0 - signed])
 
 
 @dataclass(frozen=True)
@@ -317,15 +352,27 @@ def tolerance(q: CoordinateQuery, expectation: float, cfg: OracleConfig) -> floa
     branch ``sqrt(2 (eta + log(1/xi)) (M^2 - E^2) / n)``.
     """
     m = q.bound_M
-    if abs(expectation) > m * (1.0 + 1e-12):
+    if _out_of_range(expectation, m):
         raise ExpectationOutOfRangeError(
             f"|E[q]| = {abs(expectation):.6g} exceeds the declared bound {m:.6g} for query {q.id!r}"
         )
+    return float(_tolerances(m, expectation, cfg))
+
+
+def _out_of_range(expectation, bound):
+    # where |E[q]| exceeds the declared bound M beyond rounding; floats or arrays
+    return abs(expectation) > bound * (1.0 + 1e-12)
+
+
+def _tolerances(bound, expectation, cfg: OracleConfig):
+    # tolerance's formula on floats or arrays alike, each operation in the
+    # order of the scalar expression; fmax, like Python's max, keeps the range
+    # branch over a nan variance branch
     cap = cfg.capacity_term
-    range_branch = cap * m / cfg.n
-    var_bound = max(m * m - expectation * expectation, 0.0)
-    variance_branch = math.sqrt(2.0 * cap * var_bound / cfg.n)
-    return max(range_branch, variance_branch)
+    range_branch = cap * bound / cfg.n
+    var_bound = np.fmax(bound * bound - expectation * expectation, 0.0)
+    variance_branch = np.sqrt(2.0 * cap * var_bound / cfg.n)
+    return np.fmax(range_branch, variance_branch)
 
 
 # ---------------------------------------------------------------------------
@@ -371,22 +418,43 @@ def analytic_expectation(q: CoordinateQuery, theta: ModelParams) -> float:
     (label, class) terms fold into ``sign * alpha * (m1(a_1) - m1(a_0)) / 2``.
     """
     sigma_jj = float(theta.sigma[q.j, q.j])
-    if not math.isclose(sigma_jj, q.sigma_jj, rel_tol=1e-9, abs_tol=0.0):
+    if _variance_apart(q.sigma_jj, sigma_jj):
         raise NoAnalyticExpectationError(
             f"query {q.id!r} was standardized with variance {q.sigma_jj:.6g} "
             f"but the model has {sigma_jj:.6g}"
         )
     scale = math.sqrt(q.sigma_jj)
-    p0, first0, second0 = _truncated_moments(float(theta.mu0[q.j]) / scale, q.trunc)
-    p1, first1, second1 = _truncated_moments(float(theta.mu1[q.j]) / scale, q.trunc)
+    mean, second_moment, signed = _closed_forms(
+        theta.alpha,
+        *_truncated_moments(float(theta.mu0[q.j]) / scale, q.trunc),
+        *_truncated_moments(float(theta.mu1[q.j]) / scale, q.trunc),
+    )
     if q.kind == "coordinate_mean":
-        return (first0 + first1) / 2.0
+        return mean
     if q.kind == "coordinate_second_moment":
-        return ((second0 - p0) + (second1 - p1)) / 2.0
-    value = theta.alpha * (first1 - first0) / 2.0
+        return second_moment
     # as in column_means, the "-" twin is 0.0 - value; starting both signs
     # from +0.0 keeps a zero +0.0 (alpha = 0 times a negative gap is -0.0)
-    return 0.0 + value if q.sign > 0 else 0.0 - value
+    return 0.0 + signed if q.sign > 0 else 0.0 - signed
+
+
+def _closed_forms(alpha, p0, first0, second0, p1, first1, second1):
+    # (mean, second moment, "+" signed mean) expectations from the window's
+    # moments at the two classes' standardized means; floats or arrays alike
+    mean = (first0 + first1) / 2.0
+    second_moment = ((second0 - p0) + (second1 - p1)) / 2.0
+    signed = alpha * (first1 - first0) / 2.0
+    return mean, second_moment, signed
+
+
+def _variance_apart(query_var, model_var):
+    # not math.isclose(model_var, query_var, rel_tol=1e-9), on floats or
+    # arrays: a query standardized with query_var has no closed form under a
+    # model whose variance is that far from it. Operators only, so a float
+    # pair stays in Python; a nan or infinite difference is apart
+    diff = abs(query_var - model_var)
+    beyond = (diff > abs(1e-9 * query_var)) & (diff > abs(1e-9 * model_var))
+    return (query_var != model_var) & ((diff != diff) | (diff == math.inf) | beyond)
 
 
 # ---------------------------------------------------------------------------
@@ -410,23 +478,44 @@ class OraclePolicy:
         return self._issued
 
     def query(self, q: CoordinateQuery) -> OracleResponse:
+        return OracleResponse(value=self._issue(q), query_id=q.id)
+
+    def answer_all(self, queries: Sequence[CoordinateQuery]) -> np.ndarray:
+        """Issue ``queries`` in order, one budget unit each; their answers as one float vector.
+
+        A ``CoordinateQueryFamily`` that fits in the remaining budget is
+        answered as a whole. Otherwise, or where some query would raise, the
+        queries are issued one at a time: a budget that runs out partway
+        raises on the first query past it with exactly the budget spent, and
+        any other error raises at its first query, as issuing them one at a
+        time would.
+        """
+        if isinstance(queries, CoordinateQueryFamily) and len(queries) <= self.cfg.budget_T - self._issued:
+            values = self._respond_family(queries)
+            if values is not None:
+                self._issued += len(queries)
+                return values
+        return np.array([self._issue(q) for q in queries], dtype=float)
+
+    def query_all(self, queries: Sequence[CoordinateQuery]) -> list[OracleResponse]:
+        """``answer_all``'s answers as one response per query."""
+        return [OracleResponse(v, q.id) for q, v in zip(queries, self.answer_all(queries).tolist())]
+
+    def _issue(self, q: CoordinateQuery) -> float:
         if self._issued >= self.cfg.budget_T:
             raise BudgetExceededError(
                 f"query budget of {self.cfg.budget_T} exhausted; refusing query {q.id!r}"
             )
         self._issued += 1
-        return OracleResponse(value=self._respond(q), query_id=q.id)
-
-    def query_all(self, queries: Sequence[CoordinateQuery]) -> list[OracleResponse]:
-        """Issue ``queries`` in order, one budget unit each.
-
-        A budget that runs out partway raises on the first query past it,
-        as issuing them one at a time would.
-        """
-        return [self.query(q) for q in queries]
+        return self._respond(q)
 
     def _respond(self, q: CoordinateQuery) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def _respond_family(self, family: CoordinateQueryFamily) -> np.ndarray | None:
+        """The family's answers in issue order, bitwise what ``_respond``
+        gives each query, or ``None`` to issue the queries one at a time."""
+        return None
 
 
 class EmpiricalOracle(OraclePolicy):
@@ -436,25 +525,20 @@ class EmpiricalOracle(OraclePolicy):
     invariant to sample order. Conformance against the exact tolerance is a
     statement about the data distribution and is checked in tests, not here.
 
-    ``query_all`` answers a ``CoordinateQueryFamily`` in one pass over row
-    blocks of the covariates; any other query runs its own ``evaluate`` on
-    its column, read in place, and sums the values over the same row
-    blocks: in row order within a block, the block sums in block order from
-    ``+0.0``, as the family pass does. So a query's answer does not depend
-    on how it was issued.
+    A ``CoordinateQueryFamily`` is answered from one pass over row blocks of
+    the covariates (``column_means``); any other query runs its own
+    ``evaluate`` on its column, read in place, and sums the values over the
+    same row blocks: in row order within a block, the block sums in block
+    order from ``+0.0``, as the family pass does. So a query's answer does
+    not depend on how it was issued.
     """
 
     def __init__(self, data: Dataset, cfg: OracleConfig) -> None:
         super().__init__(cfg)
         self.data = data
 
-    def query_all(self, queries: Sequence[CoordinateQuery]) -> list[OracleResponse]:
-        remaining = self.cfg.budget_T - self._issued
-        if not isinstance(queries, CoordinateQueryFamily) or len(queries) > remaining:
-            return super().query_all(queries)
-        self._issued += len(queries)
-        values = queries.column_means(self.data.labels, self.data.covariates)
-        return [OracleResponse(value=v, query_id=q.id) for q, v in zip(queries, values.tolist())]
+    def _respond_family(self, family: CoordinateQueryFamily) -> np.ndarray:
+        return family.column_means(self.data.labels, self.data.covariates)
 
     def _respond(self, q: CoordinateQuery) -> float:
         values = q.evaluate(self.data.labels, self.data.covariates)
@@ -472,7 +556,8 @@ class EmpiricalOracle(OraclePolicy):
 class WorstCaseOracle(OraclePolicy):
     """Maximally biased conforming oracle: ``E[q] + sign * tau_q``.
 
-    ``sign_policy`` is ``"+"`` or ``"-"``.
+    ``sign_policy`` is ``"+"`` or ``"-"``. A family's expectations and
+    tolerances are computed as arrays, with a single query's formulas.
     """
 
     def __init__(self, theta: ModelParams, cfg: OracleConfig, sign_policy: str = "+") -> None:
@@ -484,7 +569,15 @@ class WorstCaseOracle(OraclePolicy):
 
     def _respond(self, q: CoordinateQuery) -> float:
         expectation = analytic_expectation(q, self.theta)
-        tau = tolerance(q, expectation, self.cfg)
+        return self._biased(expectation, tolerance(q, expectation, self.cfg))
+
+    def _respond_family(self, family: CoordinateQueryFamily) -> np.ndarray | None:
+        expectation = family._expectations(self.theta)
+        if expectation is None or _out_of_range(expectation, family.bounds).any():
+            return None
+        return self._biased(expectation, _tolerances(family.bounds, expectation, self.cfg))
+
+    def _biased(self, expectation, tau):
         return expectation + tau if self.sign_policy == "+" else expectation - tau
 
 
@@ -498,34 +591,80 @@ class AdversarialPairOracle:
     query as distinguishing. If no query in a transcript is flagged, the
     transcripts under the two models are identical, so any deterministic
     decision built on them has summed error exactly one on this pair.
+
+    A family's gaps, tolerances and flags are computed as arrays, with a
+    single query's formulas, and kept as one table until ``report`` is read;
+    ``report`` lists a query once, whether it was assessed alone, with its
+    family, or both.
     """
 
     def __init__(self, theta0: ModelParams, theta1: ModelParams, cfg: OracleConfig) -> None:
         self.theta0 = theta0
         self.theta1 = theta1
         self.cfg = cfg
-        # (record, answer under model 0, answer under model 1) per query;
-        # a query is keyed by all of its fields, so a reused id with another
-        # truncation or bound gets its own record
-        self._table: dict[CoordinateQuery, tuple[GapRecord, float, float]] = {}
+        # every assessment in order: its queries (one, or a whole family) and
+        # their rows (gap, tolerance, answer under model 0, answer under
+        # model 1), one column per query. The families among them, searched
+        # apart so a lookup does not scan every single query; and the column
+        # of each query looked up on its own, keyed by all of its fields, so
+        # a reused id with another truncation or bound gets its own record
+        self._assessed: list[tuple[Sequence[CoordinateQuery], np.ndarray]] = []
+        self._families: list[tuple[CoordinateQueryFamily, np.ndarray]] = []
+        self._single: dict[CoordinateQuery, tuple[float, float, float, float]] = {}
 
     def assess(self, q: CoordinateQuery) -> GapRecord:
-        if q not in self._table:
-            e0 = analytic_expectation(q, self.theta0)
-            e1 = analytic_expectation(q, self.theta1)
-            record = GapRecord(query_id=q.id, gap=abs(e1 - e0), tolerance=tolerance(q, e1, self.cfg))
-            self._table[q] = (record, e0, e1 if record.flagged else e0)
-        return self._table[q][0]
+        gap, tol, _, _ = self._column(q)
+        return GapRecord(query_id=q.id, gap=gap, tolerance=tol)
 
     @property
     def report(self) -> list[GapRecord]:
-        """Every assessed query's (gap, tolerance, flagged), in assessment order."""
-        return [record for record, _, _ in self._table.values()]
+        """Every assessed query's (gap, tolerance, flagged), once each, in assessment order."""
+        records: list[GapRecord] = []
+        seen: set[CoordinateQuery] = set()
+        for queries, table in self._assessed:
+            for q, gap, tol in zip(queries, table[0].tolist(), table[1].tolist()):
+                if q not in seen:
+                    seen.add(q)
+                    records.append(GapRecord(query_id=q.id, gap=gap, tolerance=tol))
+        return records
 
     def policy(self, true_model: int) -> "AdversarialPairOracle._View":
         if true_model not in (0, 1):
             raise ValidationError("true_model must be 0 or 1")
         return AdversarialPairOracle._View(self, true_model)
+
+    def _column(self, q: CoordinateQuery) -> tuple[float, float, float, float]:
+        # one query's row values, from its family's table if one was assessed
+        if q in self._single:
+            return self._single[q]
+        for family, table in self._families:
+            if q in family:
+                column = self._single[q] = tuple(table[:, family.index(q)].tolist())
+                return column
+        e0 = analytic_expectation(q, self.theta0)
+        e1 = analytic_expectation(q, self.theta1)
+        tol = tolerance(q, e1, self.cfg)
+        gap = abs(e1 - e0)
+        column = self._single[q] = (gap, tol, e0, e1 if gap > tol else e0)
+        self._assessed.append(((q,), np.array(column)[:, None]))
+        return column
+
+    def _family_table(self, family: CoordinateQueryFamily) -> np.ndarray | None:
+        # the family's (4, 4d) table, or None where some query would raise
+        for assessed, table in self._families:
+            if assessed == family:
+                return table
+        e0 = family._expectations(self.theta0)
+        e1 = family._expectations(self.theta1)
+        if e0 is None or e1 is None or _out_of_range(e1, family.bounds).any():
+            return None
+        gap = np.abs(e1 - e0)
+        tol = _tolerances(family.bounds, e1, self.cfg)
+        table = np.stack([gap, tol, e0, np.where(gap > tol, e1, e0)])
+        table.setflags(write=False)
+        self._assessed.append((family, table))
+        self._families.append((family, table))
+        return table
 
     class _View(OraclePolicy):
         def __init__(self, parent: "AdversarialPairOracle", true_model: int) -> None:
@@ -534,5 +673,8 @@ class AdversarialPairOracle:
             self.true_model = true_model
 
         def _respond(self, q: CoordinateQuery) -> float:
-            self.parent.assess(q)
-            return self.parent._table[q][1 + self.true_model]
+            return self.parent._column(q)[2 + self.true_model]
+
+        def _respond_family(self, family: CoordinateQueryFamily) -> np.ndarray | None:
+            table = self.parent._family_table(family)
+            return None if table is None else table[2 + self.true_model]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -129,17 +129,27 @@ def default_oracle_config(cfg: TractableConfig) -> OracleConfig:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TractableResult:
-    """Outcome of the combined query-based test plus the full transcript."""
+    """Outcome of the combined query-based test, with its answers.
+
+    ``answers`` are the ``4d`` response values in issue order and
+    ``query_ids`` their queries' ids; ``transcript`` pairs them as
+    ``OracleResponse`` objects, built the first time it is read.
+    """
 
     diagonal: TestResult
     signed: TestResult
-    transcript: tuple[OracleResponse, ...]
+    answers: np.ndarray = field(repr=False)
+    query_ids: tuple[str, ...] = field(repr=False)
 
     @property
     def reject(self) -> bool:
         return self.diagonal.reject or self.signed.reject
+
+    @functools.cached_property
+    def transcript(self) -> tuple[OracleResponse, ...]:
+        return tuple(OracleResponse(v, qid) for v, qid in zip(self.answers.tolist(), self.query_ids))
 
 
 def decisions_from_responses(
@@ -154,6 +164,10 @@ def decisions_from_responses(
     if len(responses) != 4 * cfg.d:
         raise ValidationError(f"expected {4 * cfg.d} responses, got {len(responses)}")
     values = np.array([r.value for r in responses], dtype=float)
+    return _decide(values, cfg, tuple(r.query_id for r in responses))
+
+
+def _decide(values: np.ndarray, cfg: TractableConfig, query_ids: tuple[str, ...]) -> TractableResult:
     d = cfg.d
     level_var, level_mean = (float(level) for level in cfg.levels)
     proxy = values[d : 2 * d] - values[:d] * values[:d]
@@ -161,10 +175,12 @@ def decisions_from_responses(
     signed = values[2 * d :]
     idx = int(np.argmax(signed))
     sign, k = (1, idx) if idx < d else (-1, idx - d)
+    values.setflags(write=False)
     return TractableResult(
         diagonal=TestResult(float(proxy[j]), level_var, detail={"coordinate": j}),
         signed=TestResult(float(signed[idx]), level_mean, detail={"sign": sign, "coordinate": k}),
-        transcript=tuple(responses),
+        answers=values,
+        query_ids=query_ids,
     )
 
 
@@ -173,7 +189,9 @@ def run_tractable_test(
 ) -> TractableResult:
     """Issue the ``4d`` queries as one family and combine both decisions.
 
-    Budget errors from the oracle propagate; the oracle must allow at least
-    ``4d`` further queries.
+    The oracle answers the family as one vector (``OraclePolicy.answer_all``)
+    and both decisions read it. Budget errors from the oracle propagate; the
+    oracle must allow at least ``4d`` further queries.
     """
-    return decisions_from_responses(oracle.query_all(build_queries(cfg, sigma)), cfg)
+    queries = build_queries(cfg, sigma)
+    return _decide(oracle.answer_all(queries), cfg, queries.ids)

@@ -8,7 +8,7 @@ from multiprocessing import forkserver
 import numpy as np
 import pytest
 
-from wslab import errors, experiments, model, tractable
+from wslab import errors, experiments, model, oracle, tractable
 from wslab.exhaustive import default_thresholds, run_exhaustive_test
 from wslab.oracle import AdversarialPairOracle, EmpiricalOracle
 from wslab.seeding import spawn_rng
@@ -256,6 +256,19 @@ def test_adversarial_null_transcript_runs_once_per_sweep(monkeypatch):
     experiments.sweep_phase_diagram(grid)
     assert calls.count(0) == 1
     assert calls.count(1) == len(grid.alpha_values) * len(grid.gamma_values)
+
+
+def test_sweep_builds_no_response_or_gap_record(monkeypatch):
+    # every arm reads its family's answers as one vector: no per-query
+    # response or record object on the sweep path
+    built = []
+    for cls in (oracle.OracleResponse, oracle.GapRecord):
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, _real=cls.__init__, **k: built.append(self) or _real(self, *a, **k))
+    rows = experiments.sweep_phase_diagram(_grid([0.5], [1.0], trials=2))
+    assert [r.test for r in rows] == list(experiments.SWEEP_TESTS)
+    assert built == []
+    oracle.OracleResponse(0.0, "built")  # the counter itself sees a response
+    assert len(built) == 1
 
 
 def test_adversarial_rows_match_a_per_cell_null(monkeypatch):

@@ -7,7 +7,8 @@ blocks, that the s = 2 search holds a few pair-long arrays, that sampling
 makes no transient ``n x d`` copy, that the exhaustive test reads the
 covariates in place (no pair- or class-difference array), that a sweep holds
 one dataset at a time, that the search's support plan has its stated size
-and dies with its covariance, and that a sweep leaves no reference cycle
+and dies with its covariance, that the s = 2 pair index is built once per
+covariance and dies with it, and that a sweep leaves no reference cycle
 behind, without timing anything.
 """
 
@@ -107,6 +108,22 @@ def test_support_plan_dies_with_its_covariance():
     del cov
     gc.collect()
     assert plan() is None
+
+
+def test_pair_index_is_built_once_per_covariance_and_dies_with_it(monkeypatch):
+    built = []
+    triu = np.triu_indices
+    monkeypatch.setattr(np, "triu_indices", lambda *a, **k: built.append(a) or triu(*a, **k))
+    cov = model.KnownCovariance(ar1(12, 0.3))
+    g = stream(94).standard_normal((50, 12))
+    first = exhaustive.sparse_variance_statistic(g, cov, 2)
+    jj = exhaustive._pair_index(cov)[0]
+    assert exhaustive.sparse_variance_statistic(g, cov, 2) == first
+    assert built == [(12,)]
+    index = weakref.ref(jj)
+    del cov, jj
+    gc.collect()
+    assert index() is None
 
 
 def test_sweep_leaves_no_reference_cycle():

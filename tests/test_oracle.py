@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wslab import errors, model, oracle
+from wslab import errors, experiments, model, oracle
 from wslab.seeding import spawn_rng
 from wslab.tractable import TractableConfig, build_queries, default_oracle_config
 
-from conftest import stream
+from conftest import ar1, stream
 
 
 def _bounded(m: float = 1.0) -> oracle.CoordinateQuery:
@@ -333,24 +333,28 @@ def test_adversarial_oracle_flags_large_gaps_and_answers_honestly():
 
 
 def test_adversarial_views_answer_from_the_assessed_expectations(monkeypatch):
-    # each distinct query's two expectations are computed once, by assess;
-    # the views answer from them, flagged or not
+    # a family's expectations under each model are computed once, when the
+    # first view answers it, and no query is assessed on its own; both views
+    # answer from that one assessment, flagged or not
     theta0, theta1 = _pair(alpha=1.0, beta=4.0)
     cfg = TractableConfig(d=4, n=1_000_000)
     queries = build_queries(cfg, np.eye(4))
     exact = oracle.analytic_expectation
-    calls: dict[oracle.CoordinateQuery, int] = {}
+    family_calls: list[int] = []
+    single_calls: list[oracle.CoordinateQuery] = []
+    family_expectations = oracle.CoordinateQueryFamily._expectations
 
-    def counting(q, theta):
-        calls[q] = calls.get(q, 0) + 1
-        return exact(q, theta)
+    def counting(family, theta):
+        family_calls.append(0 if theta is theta0 else 1)
+        return family_expectations(family, theta)
 
-    monkeypatch.setattr(oracle, "analytic_expectation", counting)
+    monkeypatch.setattr(oracle.CoordinateQueryFamily, "_expectations", counting)
+    monkeypatch.setattr(oracle, "analytic_expectation", lambda q, theta: single_calls.append(q) or exact(q, theta))
     adv = oracle.AdversarialPairOracle(theta0, theta1, default_oracle_config(cfg))
     t0 = adv.policy(0).query_all(queries)
     t1 = adv.policy(1).query_all(queries)
     assert any(r.flagged for r in adv.report)
-    assert calls == {q: 2 for q in queries}
+    assert family_calls == [0, 1] and not single_calls
     for q, r0, r1, rec in zip(queries, t0, t1, adv.report):
         assert r0.value == exact(q, theta0)
         assert r1.value == (exact(q, theta1) if rec.flagged else r0.value)
@@ -496,23 +500,170 @@ def test_blocked_family_equals_per_query_path_bitwise(case, d, n, blocks, tail, 
     assert np.array_equal(_bits(per_query), _bits(reference))
 
 
-def test_family_budget_is_counted_per_query():
+# ---------------------------------------------------------------------------
+# the family path against the per-query path
+# ---------------------------------------------------------------------------
+
+
+_GAMMAS = (0.0, 0.5, 4.0, 64.0)
+
+
+def _scaled_ar1(d: int) -> np.ndarray:
+    # AR(1) correlations behind a non-unit diagonal
+    scale = np.sqrt(np.resize([0.5, 2.0, 1.0, 3.0], d))
+    return ar1(d, 0.4) * np.outer(scale, scale)
+
+
+def _sweep_pairs(d: int, sigma: np.ndarray, c0: float):
+    # (null, alternative) the way a sweep builds them, at every (alpha, gamma);
+    # the null shares the cell's alpha
+    cov = model.KnownCovariance(sigma)
+    alphas = (0.0, 0.5, 1.0)
+    grid = experiments.SweepGrid(alphas, _GAMMAS, d=d, s=2, n=2000, trials=1, seed=5)
+    mu = np.full(d, c0)
+    for ia, alpha in enumerate(alphas):
+        for ig in range(len(_GAMMAS)):
+            theta1, _ = experiments._cell_models(grid, ia, ig, c0, cov)
+            yield model.ModelParams(mu, mu, cov, alpha), theta1
+
+
+@pytest.mark.parametrize("c0", [0.0, 0.7])
+@pytest.mark.parametrize("sigma", ["identity", "scaled-ar1"])
+def test_family_path_equals_the_per_query_path_bitwise(sigma, c0):
+    d = 12
+    sigma = np.eye(d) if sigma == "identity" else _scaled_ar1(d)
+    cfg = TractableConfig(d=d, n=2000)
+    ocfg = default_oracle_config(cfg)
+    queries = build_queries(cfg, sigma)
+    flagged = 0
+    for theta0, theta1 in _sweep_pairs(d, sigma, c0):
+        adv = oracle.AdversarialPairOracle(theta0, theta1, ocfg)
+        answers = [adv.policy(m).answer_all(queries) for m in (0, 1)]
+        records = adv.report
+        single = oracle.AdversarialPairOracle(theta0, theta1, ocfg)
+        e0 = [oracle.analytic_expectation(q, theta0) for q in queries]
+        e1 = [oracle.analytic_expectation(q, theta1) for q in queries]
+        tol = [oracle.tolerance(q, e, ocfg) for q, e in zip(queries, e1)]
+        assert [r.query_id for r in records] == list(queries.ids)
+        assert np.array_equal(_bits([r.gap for r in records]), _bits(np.abs(np.subtract(e1, e0))))
+        assert np.array_equal(_bits([r.tolerance for r in records]), _bits(tol))
+        assert [r.flagged for r in records] == [single.assess(q).flagged for q in queries]
+        for m in (0, 1):
+            per_query = [single.policy(m).query(q).value for q in queries]
+            assert np.array_equal(_bits(answers[m]), _bits(per_query))
+        assert records == single.report
+        for theta in (theta0, theta1):
+            for sign in ("+", "-"):
+                family = oracle.WorstCaseOracle(theta, ocfg, sign).answer_all(queries)
+                alone = oracle.WorstCaseOracle(theta, ocfg, sign)
+                assert np.array_equal(_bits(family), _bits([alone.query(q).value for q in queries]))
+        flagged += sum(r.flagged for r in records)
+    assert 0 < flagged < len(_GAMMAS) * 3 * 4 * d  # some queries are flagged, not all
+
+
+def _first_error(policy, issue) -> tuple[type, str, int]:
+    # the error issue(policy) raises, its message, and the budget it spent
+    with pytest.raises((errors.ExpectationOutOfRangeError, errors.NoAnalyticExpectationError)) as info:
+        issue(policy)
+    return type(info.value), str(info.value), policy.queries_issued
+
+
+@pytest.mark.parametrize(
+    "case, first",
+    [
+        ("variance", "coord_mean[3]"),
+        ("range", "coord_mean[1]"),
+        ("range-before-variance", "coord_mean[1]"),
+        ("variance-before-range", "coord_mean[0]"),
+    ],
+)
+@pytest.mark.parametrize("policy", ["adversarial", "worst-case"])
+def test_family_path_raises_at_the_per_query_paths_first_offending_query(monkeypatch, case, first, policy):
+    # the model's variance disagrees with the queries' at mismatched
+    # coordinates (no closed form); an inflated first moment at the signal's
+    # standardized mean puts a mean query's expectation beyond its bound
+    d = 6
+    cfg = TractableConfig(d=d, n=500)
+    ocfg = default_oracle_config(cfg)
+    queries = build_queries(cfg, np.eye(d))
+    mismatched = {"variance": (3, 5), "range-before-variance": (4,), "variance-before-range": (0,)}.get(case, ())
+    diag = np.ones(d)
+    diag[list(mismatched)] = 2.0
+    signal = np.zeros(d)
+    signal[[1, 2]] = 0.5
+    theta0 = model.ModelParams(np.zeros(d), np.zeros(d), np.eye(d), 0.5)
+    theta1 = model.ModelParams(-signal / 2, signal / 2, np.diag(diag), 0.5)
+    if case != "variance":
+        moments = oracle._truncated_moments
+
+        def inflated(mean, t):
+            p, m1, m2 = moments(mean, t)
+            return (p, 1e3 * m1, m2) if mean == 0.25 else (p, m1, m2)
+
+        monkeypatch.setattr(oracle, "_truncated_moments", inflated)
+
+    def make():
+        if policy == "adversarial":
+            return oracle.AdversarialPairOracle(theta0, theta1, ocfg).policy(1)
+        return oracle.WorstCaseOracle(theta1, ocfg, "+")
+
+    family = _first_error(make(), lambda p: p.answer_all(queries))
+    alone = _first_error(make(), lambda p: [p.query(q) for q in queries])
+    assert family == alone
+    assert repr(first) in family[1]
+    assert family[2] == queries.ids.index(first) + 1
+
+
+_POLICIES = {
+    "empirical": lambda ocfg: oracle.EmpiricalOracle(_null_dataset(200, 5, 63), ocfg),
+    "worst-case": lambda ocfg: oracle.WorstCaseOracle(_pair(0.5, 1.0, d=5)[1], ocfg, "-"),
+    "adversarial": lambda ocfg: oracle.AdversarialPairOracle(*_pair(0.5, 1.0, d=5), ocfg).policy(1),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(_POLICIES))
+def test_family_budget_is_counted_per_query(policy):
+    # answered as one vector, a family costs 4d units; a budget that runs out
+    # partway falls back to issuing the queries one at a time
     d = 5
     cfg = TractableConfig(d=d, n=200)
     queries = build_queries(cfg, np.eye(d))
-    data = _null_dataset(200, d, 62)
-    full = oracle.EmpiricalOracle(data, default_oracle_config(cfg))
-    full.query_all(queries)
-    assert full.queries_issued == 4 * d
+    full_cfg = default_oracle_config(cfg)
+    full = _POLICIES[policy](full_cfg)
+    answers = full.answer_all(queries)
+    assert answers.shape == (4 * d,) and full.queries_issued == 4 * d
+    alone = _POLICIES[policy](full_cfg)
+    assert np.array_equal(_bits(answers), _bits([alone.query(q).value for q in queries]))
 
-    short = oracle.EmpiricalOracle(data, dataclasses.replace(default_oracle_config(cfg), budget_T=4 * d - 1))
+    short = _POLICIES[policy](dataclasses.replace(full_cfg, budget_T=4 * d - 1))
     with pytest.raises(errors.BudgetExceededError, match=r"signed_mean\[-4\]"):
-        short.query_all(queries)
+        short.answer_all(queries)
     assert short.queries_issued == 4 * d - 1
 
-    spent = oracle.EmpiricalOracle(data, default_oracle_config(cfg))
+    spent = _POLICIES[policy](full_cfg)
     spent.query(queries[0])
     with pytest.raises(errors.BudgetExceededError, match=r"signed_mean\[-4\]"):
         spent.query_all(queries)
     assert spent.queries_issued == 4 * d
 
+
+def test_adversarial_report_keeps_assessment_order_without_duplicates():
+    d = 5
+    cfg = TractableConfig(d=d, n=200)
+    ocfg = default_oracle_config(cfg)
+    queries = build_queries(cfg, np.eye(d))
+    pair = _pair(1.0, 3.0, d=d)
+    adv = oracle.AdversarialPairOracle(*pair, ocfg)
+    first = [queries[7], queries[2]]
+    alone = [adv.assess(q) for q in first]
+    adv.policy(0).answer_all(queries)
+    adv.policy(1).answer_all(queries)
+    later = adv.assess(queries[12])  # found in the family's table
+    ids = [r.query_id for r in adv.report]
+    assert ids == [q.id for q in first] + [qid for qid in queries.ids if qid not in ids[:2]]
+    assert len(set(ids)) == 4 * d
+    assert adv.report[:2] == alone and adv.report[12] == later
+    fresh = oracle.AdversarialPairOracle(*pair, ocfg)
+    by_id = {r.query_id: r for r in adv.report}
+    assert [by_id[q.id] for q in queries] == [fresh.assess(q) for q in queries]
+    assert any(r.flagged for r in adv.report)

@@ -201,6 +201,34 @@ def test_transcript_replay_reproduces_decision():
     assert replay.signed.statistic == first.signed.statistic
 
 
+@pytest.mark.parametrize("policy", ["empirical", "worst-case", "adversarial"])
+def test_transcript_read_later_is_the_eager_transcript(policy):
+    # a result keeps its answers as one vector and builds its transcript when
+    # read: the values and ids of issuing every query on its own, in order
+    d = 6
+    cfg = _cfg(d=d, n=400)
+    theta = model.make_restricted_alternative(model.AltSpec(support=(0, 1), beta=1.0, d=d), alpha=1.0)
+    null = model.ModelParams(np.zeros(d), np.zeros(d), np.eye(d), 1.0)
+    data = model.sample_dataset(theta, 400, stream(56))
+    ocfg = tractable.default_oracle_config(cfg)
+    make = {
+        "empirical": lambda: oracle.EmpiricalOracle(data, ocfg),
+        "worst-case": lambda: oracle.WorstCaseOracle(theta, ocfg, "+"),
+        "adversarial": lambda: oracle.AdversarialPairOracle(null, theta, ocfg).policy(1),
+    }[policy]
+    result = tractable.run_tractable_test(make(), cfg, np.eye(d))
+    alone = make()
+    eager = tuple(alone.query(q) for q in tractable.build_queries(cfg, np.eye(d)))
+    assert [r.query_id for r in result.transcript] == [r.query_id for r in eager]
+    assert np.array_equal(
+        np.array([r.value for r in result.transcript]).view(np.uint64),
+        np.array([r.value for r in eager]).view(np.uint64),
+    )
+    assert all(type(r.value) is float for r in result.transcript)
+    assert result.transcript is result.transcript
+    assert np.array_equal(result.answers, [r.value for r in eager])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_decisions_monotone_in_responses(data):
