@@ -187,8 +187,12 @@ def test_ties_go_to_the_lexicographically_first_support():
 
 
 def _solve_every_support(w, sigma, s, batch=4096):
-    # reference: the unpruned batched loop, every support's pencil reduced to
-    # R_S = L^{-1} G_S L^{-T} with L = cholesky(B_S) and solved exactly as
+    # reference: the unpruned batched loop, every support's pencil reduced as
+    # the search reduces it, elementwise over the supports: L = cholesky(B_S)
+    # by its recurrence, L^{-1} by forward substitution, then column j of
+    # R_S = L^{-1} G_S L^{-T} as L^{-1} (G_S L^{-T}_j) over the upper triangle
+    # of G_S, each entry a sum in index order (a term that a zero factor makes
+    # +-0 leaves a sum's bits). Each support is solved exactly as
     # eigvalsh(R_S - m I) + m, m = tr(R_S) / s; first maximum wins. G is the
     # search's own, so the comparison is of the search alone
     cov = model.KnownCovariance.of(sigma)
@@ -197,10 +201,26 @@ def _solve_every_support(w, sigma, s, batch=4096):
     best, best_support = -math.inf, ()
     supports = combinations(range(w.shape[1]), s)
     while (idx := np.fromiter(islice(supports, batch), dtype=(np.intp, s))).size:
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        inv_chol_t = np.ascontiguousarray(np.linalg.inv(np.linalg.cholesky(b[rows, cols])).swapaxes(1, 2))
-        r = inv_chol_t.swapaxes(1, 2) @ (g[rows, cols] @ inv_chol_t)
-        m = np.diagonal(r, axis1=1, axis2=2).mean(axis=1)
+        chol, inv, r = np.zeros((3, len(idx), s, s))
+        for j in range(s):
+            for i in range(j, s):
+                acc = b[idx[:, i], idx[:, j]]
+                for k in range(j):
+                    acc -= chol[:, i, k] * chol[:, j, k]
+                chol[:, i, j] = np.sqrt(acc) if i == j else acc / chol[:, j, j]
+        for i in range(s):
+            for j in range(i):
+                acc = chol[:, i, j] * inv[:, j, j]
+                for k in range(j + 1, i):
+                    acc += chol[:, i, k] * inv[:, k, j]
+                inv[:, i, j] = -acc / chol[:, i, i]
+            inv[:, i, i] = 1.0 / chol[:, i, i]
+        gs = g[idx[:, :, None], idx[:, None, :]]
+        for j in range(s):
+            t = [sum(gs[:, min(k, l), max(k, l)] * inv[:, j, l] for l in range(j + 1)) for k in range(j + 1)]
+            for i in range(j + 1):
+                r[:, i, j] = r[:, j, i] = sum(inv[:, i, k] * t[k] for k in range(i + 1))
+        m = sum(r[:, i, i] for i in range(s)) / s
         lam = np.linalg.eigvalsh(r - m[:, None, None] * np.eye(s))[:, -1] + m
         j = int(np.argmax(lam))
         if lam[j] > best:
@@ -208,10 +228,10 @@ def _solve_every_support(w, sigma, s, batch=4096):
     return best, best_support
 
 
-def _ill_conditioned(d):
-    # random eigenvectors, eigenvalues spread geometrically over [1, 1e8]
+def _ill_conditioned(d, kappa=1e8):
+    # random eigenvectors, eigenvalues spread geometrically over [1, kappa]
     q, _ = np.linalg.qr(stream(33, d).standard_normal((d, d)))
-    m = (q * np.geomspace(1.0, 1e8, d)) @ q.T
+    m = (q * np.geomspace(1.0, kappa, d)) @ q.T
     return (m + m.T) / 2.0
 
 
@@ -220,6 +240,7 @@ _SIGMAS = {
     "ar1-0.3": lambda d: ar1(d, 0.3),
     "ar1-0.9": lambda d: ar1(d, 0.9),
     "kappa-1e8": _ill_conditioned,
+    "kappa-1e12": lambda d: _ill_conditioned(d, model.MAX_CONDITION_NUMBER),
 }
 
 
@@ -256,7 +277,7 @@ def test_every_support_tied_gives_the_first():
     assert support == (0, 1, 2, 3)
 
 
-@pytest.mark.parametrize("sigma_kind", ["ar1-0.3", "kappa-1e8"])
+@pytest.mark.parametrize("sigma_kind", ["ar1-0.3", "kappa-1e8", "kappa-1e12"])
 def test_null_search_solves_few_supports_exactly(monkeypatch, sigma_kind):
     # the pruning margin does not grow with the condition number of sigma, and
     # verifying in descending bound order leaves no per-batch slack
@@ -270,6 +291,37 @@ def test_null_search_solves_few_supports_exactly(monkeypatch, sigma_kind):
         stat, support = exhaustive.sparse_variance_statistic(w, cov, s)
         assert sum(solved) <= 0.01 * math.comb(d, s), seed
         assert (stat, support) == _solve_every_support(w, cov, s)
+
+
+@pytest.mark.parametrize("sigma_kind", ["identity", "ar1-0.9"])
+def test_search_calls_no_batched_factorization(monkeypatch, sigma_kind):
+    # the plan and each pass are elementwise recurrences: neither a cold nor a
+    # warm search calls LAPACK's cholesky or inv
+    d, s = 13, 4
+    cov = model.KnownCovariance(_SIGMAS[sigma_kind](d))
+    w = _pair_differences(cov, True, 400, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a batched factorization was called")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    cold = exhaustive.sparse_variance_statistic(w, cov, s)
+    assert exhaustive.sparse_variance_statistic(w, cov, s) == cold
+    monkeypatch.undo()
+    assert cold == _solve_every_support(w, cov, s)
+
+
+def test_support_plan_build_logs_one_info_line(caplog):
+    # its size and build time go to the log, once per (covariance, s)
+    cov = model.KnownCovariance(ar1(13, 0.3))
+    w = _pair_differences(cov, False, 200, 5)
+    with caplog.at_level("INFO", logger="wslab"):
+        exhaustive.sparse_variance_statistic(w, cov, 4)
+        exhaustive.sparse_variance_statistic(w, cov, 4)
+    [record] = caplog.records
+    plan_bytes = math.comb(13, 4) * (4 + 10) * 8
+    assert record.getMessage().startswith(f"support plan: C(13, 4) = 715 supports, {plan_bytes} bytes, built in ")
 
 
 @pytest.mark.parametrize("d, s", [(16, 3), (13, 4)])

@@ -96,18 +96,38 @@ def test_sweep_holds_one_dataset_at_a_time():
 
 @pytest.mark.parametrize("d, s", [(40, 3), (16, 5)])
 def test_support_plan_holds_indices_and_inverse_factors_only(d, s):
+    # the support columns and the packed lower entries of each L_S^{-1}
     plan = exhaustive._support_plan(model.KnownCovariance(ar1(d, 0.3)), s)
-    assert sum(a.nbytes for a in plan) == math.comb(d, s) * s * (s + 1) * _FLOAT
+    assert plan.nbytes == sum(a.nbytes for a in (plan.columns, *plan.inv_factor))
+    assert plan.nbytes == math.comb(d, s) * (s + s * (s + 1) // 2) * _FLOAT
+
+
+@pytest.mark.parametrize("d, s", [(40, 3), (16, 5)])
+def test_identity_support_plan_holds_indices_only(d, s):
+    # at identity each factor entry is the same for every support: one float
+    plan = exhaustive._support_plan(model.KnownCovariance(np.eye(d)), s)
+    assert all(isinstance(a, float) for a in plan.inv_factor)
+    assert plan.nbytes == plan.columns.nbytes == math.comb(d, s) * s * _FLOAT
+
+
+def test_support_plan_build_stays_under_the_stacked_plan():
+    # building the plan, temporaries included, takes less than the plan of
+    # supports and (s, s) inverse factors it replaces held once built
+    d, s = 16, 5
+    cov = model.KnownCovariance(ar1(d, 0.3))
+    peak = _traced_peak(lambda: exhaustive._support_plan(cov, s))
+    assert peak < math.comb(d, s) * s * (s + 1) * _FLOAT
 
 
 def test_support_plan_dies_with_its_covariance():
     cov = model.KnownCovariance(ar1(12, 0.3))
     exhaustive.sparse_variance_statistic(stream(93).standard_normal((50, 12)), cov, 3)
-    plan = weakref.ref(exhaustive._support_plan(cov, 3).inv_chol_t)
-    assert plan() is not None
-    del cov
+    plan = exhaustive._support_plan(cov, 3)
+    arrays = [weakref.ref(a) for a in (plan.columns, *plan.inv_factor)]
+    assert all(a() is not None for a in arrays)
+    del cov, plan
     gc.collect()
-    assert plan() is None
+    assert all(a() is None for a in arrays)
 
 
 def test_pair_index_is_built_once_per_covariance_and_dies_with_it(monkeypatch):
