@@ -139,9 +139,7 @@ def sparse_variance_statistic(
     each factor entry is one float and the plan is its ``C(d, s) * s``
     columns (26 MB at d=40, s=5). The factors come from the Cholesky and
     forward-substitution recurrences, each step one elementwise operation
-    over all supports, with no LAPACK call (at d=40, s=5 the build took
-    0.12-0.13 s under an AR(1) covariance on one core of a 2-core Intel
-    Xeon machine, against 1.0-1.2 s through batched LAPACK). The plan is built on the first
+    over all supports, with no LAPACK call. The plan is built on the first
     search for a ``(KnownCovariance, s)`` and freed with that covariance (an
     array ``sigma`` makes a new covariance, and so a new plan, on every call;
     pass the ``KnownCovariance`` to reuse it across datasets). A dataset's
@@ -348,16 +346,30 @@ def _support_plan(cov: KnownCovariance, s: int) -> _SupportPlan:
 
 def _lexicographic_supports(d: int, s: int) -> np.ndarray:
     # every size-s support of range(d) in lexicographic order, as (s, C(d, s))
-    # columns: each prefix of length k is followed by its choices of the next
-    # column, from one past its last to the largest that leaves room for the rest
-    columns = np.arange(d - s + 1)[None, :]
-    for k in range(1, s):
-        last = columns[-1]
-        choices = d - s + k - last
-        first = np.cumsum(choices) - choices  # where each prefix's run begins
-        nxt = np.arange(first[-1] + choices[-1]) - np.repeat(first - last - 1, choices)
-        columns = np.vstack([np.repeat(columns, choices, axis=1), nxt])
+    # columns filled in place: each length-(k + 1) prefix is followed by its
+    # choices of the next column, from one past its last to the largest that
+    # leaves room for the rest, and row k holds its last column once per
+    # completion. Besides the columns, the build holds a few prefix arrays
+    columns = np.empty((s, math.comb(d, s)), dtype=np.int64)
+    last = np.array([-1])  # the empty prefix, as if its last column were -1
+    for k in range(s):
+        top = d - s + k  # the largest column k can take
+        ends = np.cumsum(top - last)
+        nxt = columns[k] if k == s - 1 else np.empty(ends[-1], dtype=np.int64)
+        last = _runs(nxt, 1, last[0] + 1, ends, last[1:] + (1 - top))
+        if k < s - 1:
+            completions = np.array([math.comb(d - 1 - v, s - 1 - k) for v in range(d)])
+            _runs(columns[k], 0, last[0], np.cumsum(completions[last]), np.diff(last))
     return columns
+
+
+def _runs(row: np.ndarray, step: int, first: int, ends: np.ndarray, jumps: np.ndarray) -> np.ndarray:
+    # runs rising by ``step`` that end at ``ends``: ``first``, then each later
+    # run's ``jumps`` from its predecessor's end, at the run starts, summed in place
+    row.fill(step)
+    row[0] = first
+    row[ends[:-1]] = jumps
+    return np.cumsum(row, out=row)
 
 
 def _lower(s: int) -> list[tuple[int, int]]:

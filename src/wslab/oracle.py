@@ -23,20 +23,22 @@ Every query is a ``CoordinateQuery``, a truncated statistic of one
 standardized coordinate. Its id, its per-sample values and its closed-form
 expectation (two truncated normal moments of its window, one at each class
 mean) all come from its fields, so every policy answers the same query.
-``CoordinateQueryFamily`` is the test's ``4d`` queries as one object. Every
-policy's ``answer_all`` answers a family as one float vector in issue order:
-the honest oracle from one pass over the covariates, the worst-case and
-adversarial oracles from the family's expectations, tolerances and flags
-computed as arrays, with the same formulas and operation order as a single
-query's, so each answer has the same bits however it is issued. An
-``OracleResponse`` is built only where a caller asks for one (``query``,
-``query_all``), and a pair oracle's gap records only when its ``report``
-is read.
+``CoordinateQueryFamily`` is the test's ``4d`` queries as one object.
+
+Every policy issues a batch, a lone query or a family, through one rule: it
+answers the whole batch as a float vector in issue order, finds the first
+query with no closed form or an expectation beyond its bound, and charges
+and raises exactly as issuing the queries one at a time would. The
+worst-case and adversarial answers come from one table of expectations and
+tolerances over the batch's columns, so a query's answer has the same bits
+however it is issued. An ``OracleResponse`` is built only where a caller
+asks for one (``query``, ``query_all``), and a pair oracle's gap records
+only when its ``report`` is read.
 
 The honest oracle reads the covariates in row blocks of ``_BLOCK_ELEMENTS //
 d`` rows, in place. A query's sum adds the rows of each block in row order
 and the block sums in block order, starting from ``+0.0``; the family pass
-and the per-query path both sum that way.
+and a lone query's column both sum that way.
 """
 
 from __future__ import annotations
@@ -204,8 +206,8 @@ class CoordinateQueryFamily(tuple):
     ``column_means`` answers the whole family in one pass over row blocks,
     summed in the order ``EmpiricalOracle`` sums a single query, so the
     values agree bit for bit. ``diag``, ``scales``, ``bounds`` and ``ids``
-    hold the queries' fields as arrays (the ids as a tuple), which the
-    array paths read instead of the queries. Families are immutable.
+    hold the queries' fields as arrays (the ids as a tuple). Families are
+    immutable.
     """
 
     def __new__(
@@ -234,10 +236,15 @@ class CoordinateQueryFamily(tuple):
             object.__setattr__(family, name, values)
         object.__setattr__(family, "trunc", trunc)
         object.__setattr__(family, "ids", tuple(q.id for q in queries))
+        object.__setattr__(family, "_hash", tuple.__hash__(family))
         return family
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self) -> int:
+        # the tuple's hash, taken once: a pair oracle looks a family up per issue
+        return self._hash
 
     def column_means(self, labels: np.ndarray, covariates: np.ndarray) -> np.ndarray:
         """The ``4d`` sample means in issue order, from one pass over row blocks.
@@ -277,27 +284,6 @@ class CoordinateQueryFamily(tuple):
         # except that a zero sum stays +0.0 (the sums start from +0.0),
         # which 0.0 - sum gives and -sum does not.
         return np.concatenate([sums.ravel(), 0.0 - sums[2]]) / n
-
-    def _expectations(self, theta: ModelParams) -> np.ndarray | None:
-        """``E_theta`` of every query in issue order, or ``None`` where some
-        query has no closed form under ``theta`` or ``theta`` has another
-        dimension, for the per-query path to answer or raise.
-
-        The standardized means ``mu_z / scales`` of both classes take one
-        memoised ``_truncated_moments`` call per distinct value, and the
-        closed forms are ``_closed_forms``, as for a single query.
-        """
-        d = self.scales.shape[0]
-        if theta.d != d or _variance_apart(self.diag, theta.cov.diag).any():
-            return None
-        standardized = np.divide(np.stack([theta.mu0, theta.mu1]), self.scales).ravel()
-        distinct, at = np.unique(standardized, return_inverse=True)
-        moments = np.array([_truncated_moments(mean, self.trunc) for mean in distinct.tolist()])
-        mass, first, second = moments.T[:, at].reshape(3, 2, d)
-        mean, second_moment, signed = _closed_forms(
-            theta.alpha, mass[0], first[0], second[0], mass[1], first[1], second[1]
-        )
-        return np.concatenate([mean, second_moment, 0.0 + signed, 0.0 - signed])
 
 
 @dataclass(frozen=True)
@@ -351,28 +337,44 @@ def tolerance(q: CoordinateQuery, expectation: float, cfg: OracleConfig) -> floa
     Maximum of the range branch ``(eta + log(1/xi)) M / n`` and the variance
     branch ``sqrt(2 (eta + log(1/xi)) (M^2 - E^2) / n)``.
     """
-    m = q.bound_M
-    if _out_of_range(expectation, m):
-        raise ExpectationOutOfRangeError(
-            f"|E[q]| = {abs(expectation):.6g} exceeds the declared bound {m:.6g} for query {q.id!r}"
-        )
-    return float(_tolerances(m, expectation, cfg))
+    tau, failure = _tolerances(q, np.array([expectation]), cfg)
+    if failure:
+        raise failure[1]
+    return float(tau[0])
 
 
-def _out_of_range(expectation, bound):
-    # where |E[q]| exceeds the declared bound M beyond rounding; floats or arrays
-    return abs(expectation) > bound * (1.0 + 1e-12)
+# a batch is a lone CoordinateQuery or a CoordinateQueryFamily; a failure is
+# the index in issue order of the batch's first failing query and its error
+_Failure = tuple[int, Exception]
 
 
-def _tolerances(bound, expectation, cfg: OracleConfig):
-    # tolerance's formula on floats or arrays alike, each operation in the
-    # order of the scalar expression; fmax, like Python's max, keeps the range
-    # branch over a nan variance branch
+def _queries(batch) -> Sequence[CoordinateQuery]:
+    return (batch,) if isinstance(batch, CoordinateQuery) else batch
+
+
+def _first(*failures: _Failure | None) -> _Failure | None:
+    # the failure at the lowest index; at one index the first given, which
+    # is the order a lone query's checks run in
+    return min(filter(None, failures), key=lambda failure: failure[0], default=None)
+
+
+def _tolerances(batch, expectation: np.ndarray, cfg: OracleConfig) -> tuple[np.ndarray, _Failure | None]:
+    # tolerance's formula over a batch, and its first query whose |E[q]|
+    # exceeds the declared bound M beyond rounding. fmax, like Python's max,
+    # keeps the range branch over a nan variance branch
+    bound = batch.bound_M if isinstance(batch, CoordinateQuery) else batch.bounds
     cap = cfg.capacity_term
     range_branch = cap * bound / cfg.n
     var_bound = np.fmax(bound * bound - expectation * expectation, 0.0)
-    variance_branch = np.sqrt(2.0 * cap * var_bound / cfg.n)
-    return np.fmax(range_branch, variance_branch)
+    tau = np.fmax(range_branch, np.sqrt(2.0 * cap * var_bound / cfg.n))
+    beyond = np.flatnonzero(abs(expectation) > bound * (1.0 + 1e-12))
+    if not beyond.size:
+        return tau, None
+    i = int(beyond[0])
+    q = _queries(batch)[i]
+    return tau, (i, ExpectationOutOfRangeError(
+        f"|E[q]| = {abs(expectation[i]):.6g} exceeds the declared bound {q.bound_M:.6g} for query {q.id!r}"
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +409,46 @@ def _truncated_moments(mean: float, t: float) -> tuple[float, float, float]:
     return p, m1, m2
 
 
+def _expectations(batch, theta: ModelParams) -> tuple[np.ndarray, _Failure | None]:
+    """``E_theta`` of a batch's queries in issue order, and its first query
+    with no closed form under ``theta``.
+
+    The batch's columns (a family's ``d``, a lone query's ``j``) are
+    standardized at both class means, and each distinct value takes one
+    memoised ``_truncated_moments`` call; the closed forms of
+    ``analytic_expectation`` give each column's mean, second-moment and "+"
+    signed-label expectations. These are laid out as the family's four
+    groups, or as the lone query's kind and sign. A query standardized with
+    a variance apart from the model's has no closed form; the first is
+    returned as ``(index, NoAnalyticExpectationError)``.
+    """
+    lone = isinstance(batch, CoordinateQuery)
+    columns = [batch.j] if lone else np.arange(len(batch.diag))
+    diag = np.array([batch.sigma_jj]) if lone else batch.diag
+    standardized = np.divide(np.stack([theta.mu0[columns], theta.mu1[columns]]), np.sqrt(diag)).ravel()
+    distinct, at = np.unique(standardized, return_inverse=True)
+    moments = np.array([_truncated_moments(mean, batch.trunc) for mean in distinct.tolist()])
+    mass, first, second = moments.T[:, at].reshape(3, 2, -1)
+    mean = (first[0] + first[1]) / 2.0
+    second_moment = ((second[0] - mass[0]) + (second[1] - mass[1])) / 2.0
+    signed = theta.alpha * (first[1] - first[0]) / 2.0
+    # as in column_means, the "-" signed group is 0.0 - value; starting both
+    # signs from +0.0 keeps a zero +0.0 (alpha = 0 times a negative gap is -0.0)
+    groups = np.stack([mean, second_moment, 0.0 + signed, 0.0 - signed])
+    expectation = groups[list(_KINDS).index(batch.kind) + (batch.sign < 0)] if lone else groups.ravel()
+    model_var = theta.cov.diag[columns]
+    apart = np.flatnonzero(_variance_apart(diag, model_var))
+    if not apart.size:
+        return expectation, None
+    # a family's coordinate means come first, so column j's first query is query j
+    j = int(apart[0])
+    q = _queries(batch)[j]
+    return expectation, (j, NoAnalyticExpectationError(
+        f"query {q.id!r} was standardized with variance {q.sigma_jj:.6g} "
+        f"but the model has {model_var[j]:.6g}"
+    ))
+
+
 def analytic_expectation(q: CoordinateQuery, theta: ModelParams) -> float:
     """Exact ``E_theta[q]``: the expectation of ``q.evaluate`` under ``theta``.
 
@@ -417,41 +459,16 @@ def analytic_expectation(q: CoordinateQuery, theta: ModelParams) -> float:
     class: on a symmetric window ``m1`` is odd in the mean, so its four
     (label, class) terms fold into ``sign * alpha * (m1(a_1) - m1(a_0)) / 2``.
     """
-    sigma_jj = float(theta.sigma[q.j, q.j])
-    if _variance_apart(q.sigma_jj, sigma_jj):
-        raise NoAnalyticExpectationError(
-            f"query {q.id!r} was standardized with variance {q.sigma_jj:.6g} "
-            f"but the model has {sigma_jj:.6g}"
-        )
-    scale = math.sqrt(q.sigma_jj)
-    mean, second_moment, signed = _closed_forms(
-        theta.alpha,
-        *_truncated_moments(float(theta.mu0[q.j]) / scale, q.trunc),
-        *_truncated_moments(float(theta.mu1[q.j]) / scale, q.trunc),
-    )
-    if q.kind == "coordinate_mean":
-        return mean
-    if q.kind == "coordinate_second_moment":
-        return second_moment
-    # as in column_means, the "-" twin is 0.0 - value; starting both signs
-    # from +0.0 keeps a zero +0.0 (alpha = 0 times a negative gap is -0.0)
-    return 0.0 + signed if q.sign > 0 else 0.0 - signed
-
-
-def _closed_forms(alpha, p0, first0, second0, p1, first1, second1):
-    # (mean, second moment, "+" signed mean) expectations from the window's
-    # moments at the two classes' standardized means; floats or arrays alike
-    mean = (first0 + first1) / 2.0
-    second_moment = ((second0 - p0) + (second1 - p1)) / 2.0
-    signed = alpha * (first1 - first0) / 2.0
-    return mean, second_moment, signed
+    expectation, failure = _expectations(q, theta)
+    if failure:
+        raise failure[1]
+    return float(expectation[0])
 
 
 def _variance_apart(query_var, model_var):
-    # not math.isclose(model_var, query_var, rel_tol=1e-9), on floats or
-    # arrays: a query standardized with query_var has no closed form under a
-    # model whose variance is that far from it. Operators only, so a float
-    # pair stays in Python; a nan or infinite difference is apart
+    # not math.isclose(model_var, query_var, rel_tol=1e-9), elementwise: a
+    # query standardized with query_var has no closed form under a model
+    # whose variance is that far from it; a nan or infinite difference is apart
     diff = abs(query_var - model_var)
     beyond = (diff > abs(1e-9 * query_var)) & (diff > abs(1e-9 * model_var))
     return (query_var != model_var) & ((diff != diff) | (diff == math.inf) | beyond)
@@ -465,8 +482,10 @@ def _variance_apart(query_var, model_var):
 class OraclePolicy:
     """Base policy: budget accounting plus a response rule.
 
-    A policy instance holds mutable budget state and is meant to be driven by
-    one test run at a time; create separate instances for concurrent runs.
+    Every query is issued in a batch, a lone ``CoordinateQuery`` or a
+    ``CoordinateQueryFamily``, through ``_issue``. A policy instance holds
+    mutable budget state and is meant to be driven by one test run at a
+    time; create separate instances for concurrent runs.
     """
 
     def __init__(self, cfg: OracleConfig) -> None:
@@ -478,44 +497,48 @@ class OraclePolicy:
         return self._issued
 
     def query(self, q: CoordinateQuery) -> OracleResponse:
-        return OracleResponse(value=self._issue(q), query_id=q.id)
+        return OracleResponse(value=float(self._issue(q)[0]), query_id=q.id)
 
     def answer_all(self, queries: Sequence[CoordinateQuery]) -> np.ndarray:
         """Issue ``queries`` in order, one budget unit each; their answers as one float vector.
 
-        A ``CoordinateQueryFamily`` that fits in the remaining budget is
-        answered as a whole. Otherwise, or where some query would raise, the
-        queries are issued one at a time: a budget that runs out partway
-        raises on the first query past it with exactly the budget spent, and
-        any other error raises at its first query, as issuing them one at a
-        time would.
+        A ``CoordinateQueryFamily`` is issued as one batch, any other
+        sequence as lone queries in order. Either way a budget that runs out
+        partway raises on the first query past it with exactly the budget
+        spent, and any other error raises at its first query, that query
+        charged.
         """
-        if isinstance(queries, CoordinateQueryFamily) and len(queries) <= self.cfg.budget_T - self._issued:
-            values = self._respond_family(queries)
-            if values is not None:
-                self._issued += len(queries)
-                return values
-        return np.array([self._issue(q) for q in queries], dtype=float)
+        if isinstance(queries, CoordinateQueryFamily):
+            return self._issue(queries)
+        return np.array([self._issue(q)[0] for q in queries], dtype=float)
 
     def query_all(self, queries: Sequence[CoordinateQuery]) -> list[OracleResponse]:
         """``answer_all``'s answers as one response per query."""
         return [OracleResponse(v, q.id) for q, v in zip(queries, self.answer_all(queries).tolist())]
 
-    def _issue(self, q: CoordinateQuery) -> float:
-        if self._issued >= self.cfg.budget_T:
+    def _issue(self, batch) -> np.ndarray:
+        # the order of issuing the batch's queries one at a time, each checked
+        # against the budget before it is answered: charge min(remaining
+        # budget, first failing index + 1, len) units, then raise on the first
+        # query past the budget, or raise the failing query's error, or answer
+        values, failure = self._answer(batch)
+        queries = _queries(batch)
+        due = len(queries) if failure is None else failure[0] + 1
+        remaining = self.cfg.budget_T - self._issued
+        if remaining < due:
+            self._issued += remaining
             raise BudgetExceededError(
-                f"query budget of {self.cfg.budget_T} exhausted; refusing query {q.id!r}"
+                f"query budget of {self.cfg.budget_T} exhausted; refusing query {queries[remaining].id!r}"
             )
-        self._issued += 1
-        return self._respond(q)
+        self._issued += due
+        if failure:
+            raise failure[1]
+        return values
 
-    def _respond(self, q: CoordinateQuery) -> float:  # pragma: no cover - abstract
+    def _answer(self, batch) -> tuple[np.ndarray, _Failure | None]:  # pragma: no cover - abstract
+        """A batch's answers in issue order, and its first query with no
+        closed form or an expectation beyond its bound."""
         raise NotImplementedError
-
-    def _respond_family(self, family: CoordinateQueryFamily) -> np.ndarray | None:
-        """The family's answers in issue order, bitwise what ``_respond``
-        gives each query, or ``None`` to issue the queries one at a time."""
-        return None
 
 
 class EmpiricalOracle(OraclePolicy):
@@ -525,23 +548,19 @@ class EmpiricalOracle(OraclePolicy):
     invariant to sample order. Conformance against the exact tolerance is a
     statement about the data distribution and is checked in tests, not here.
 
-    A ``CoordinateQueryFamily`` is answered from one pass over row blocks of
-    the covariates (``column_means``); any other query runs its own
+    A family is answered by ``column_means``; a lone query runs its own
     ``evaluate`` on its column, read in place, and sums the values over the
-    same row blocks: in row order within a block, the block sums in block
-    order from ``+0.0``, as the family pass does. So a query's answer does
-    not depend on how it was issued.
+    same row blocks in the same order, so its answer has the same bits.
     """
 
     def __init__(self, data: Dataset, cfg: OracleConfig) -> None:
         super().__init__(cfg)
         self.data = data
 
-    def _respond_family(self, family: CoordinateQueryFamily) -> np.ndarray:
-        return family.column_means(self.data.labels, self.data.covariates)
-
-    def _respond(self, q: CoordinateQuery) -> float:
-        values = q.evaluate(self.data.labels, self.data.covariates)
+    def _answer(self, batch) -> tuple[np.ndarray, None]:
+        if isinstance(batch, CoordinateQueryFamily):
+            return batch.column_means(self.data.labels, self.data.covariates), None
+        values = batch.evaluate(self.data.labels, self.data.covariates)
         rows = _rows_per_block(self.data.d)
         full = len(values) - len(values) % rows
         # the full blocks' sums in row order (accumulate adds in order), then the tail's
@@ -550,14 +569,14 @@ class EmpiricalOracle(OraclePolicy):
         total = np.float64(0.0)  # an empty dataset answers nan, as the family pass does
         for block in blocks:
             total += block
-        return float(total / self.data.n)
+        return np.array([total / self.data.n]), None
 
 
 class WorstCaseOracle(OraclePolicy):
     """Maximally biased conforming oracle: ``E[q] + sign * tau_q``.
 
-    ``sign_policy`` is ``"+"`` or ``"-"``. A family's expectations and
-    tolerances are computed as arrays, with a single query's formulas.
+    ``sign_policy`` is ``"+"`` or ``"-"``. A batch's expectations and
+    tolerances are computed as arrays.
     """
 
     def __init__(self, theta: ModelParams, cfg: OracleConfig, sign_policy: str = "+") -> None:
@@ -567,18 +586,11 @@ class WorstCaseOracle(OraclePolicy):
         self.theta = theta
         self.sign_policy = sign_policy
 
-    def _respond(self, q: CoordinateQuery) -> float:
-        expectation = analytic_expectation(q, self.theta)
-        return self._biased(expectation, tolerance(q, expectation, self.cfg))
-
-    def _respond_family(self, family: CoordinateQueryFamily) -> np.ndarray | None:
-        expectation = family._expectations(self.theta)
-        if expectation is None or _out_of_range(expectation, family.bounds).any():
-            return None
-        return self._biased(expectation, _tolerances(family.bounds, expectation, self.cfg))
-
-    def _biased(self, expectation, tau):
-        return expectation + tau if self.sign_policy == "+" else expectation - tau
+    def _answer(self, batch) -> tuple[np.ndarray, _Failure | None]:
+        expectation, failure = _expectations(batch, self.theta)
+        tau, beyond = _tolerances(batch, expectation, self.cfg)
+        values = expectation + tau if self.sign_policy == "+" else expectation - tau
+        return values, _first(failure, beyond)
 
 
 class AdversarialPairOracle:
@@ -592,79 +604,56 @@ class AdversarialPairOracle:
     transcripts under the two models are identical, so any deterministic
     decision built on them has summed error exactly one on this pair.
 
-    A family's gaps, tolerances and flags are computed as arrays, with a
-    single query's formulas, and kept as one table until ``report`` is read;
-    ``report`` lists a query once, whether it was assessed alone, with its
-    family, or both.
+    A batch's gaps, tolerances and answers are computed as arrays and kept
+    as one table, found again by the batch; ``report`` lists each query
+    once, in assessment order.
     """
 
     def __init__(self, theta0: ModelParams, theta1: ModelParams, cfg: OracleConfig) -> None:
         self.theta0 = theta0
         self.theta1 = theta1
         self.cfg = cfg
-        # every assessment in order: its queries (one, or a whole family) and
-        # their rows (gap, tolerance, answer under model 0, answer under
-        # model 1), one column per query. The families among them, searched
-        # apart so a lookup does not scan every single query; and the column
-        # of each query looked up on its own, keyed by all of its fields, so
-        # a reused id with another truncation or bound gets its own record
-        self._assessed: list[tuple[Sequence[CoordinateQuery], np.ndarray]] = []
-        self._families: list[tuple[CoordinateQueryFamily, np.ndarray]] = []
-        self._single: dict[CoordinateQuery, tuple[float, float, float, float]] = {}
+        # every assessed batch in order, with its rows (gap, tolerance, answer
+        # under model 0, answer under model 1), one column per query
+        self._assessed: dict[CoordinateQuery | CoordinateQueryFamily, np.ndarray] = {}
 
     def assess(self, q: CoordinateQuery) -> GapRecord:
-        gap, tol, _, _ = self._column(q)
-        return GapRecord(query_id=q.id, gap=gap, tolerance=tol)
+        table, failure = self._table(q)
+        if failure:
+            raise failure[1]
+        return GapRecord(query_id=q.id, gap=float(table[0, 0]), tolerance=float(table[1, 0]))
 
     @property
     def report(self) -> list[GapRecord]:
         """Every assessed query's (gap, tolerance, flagged), once each, in assessment order."""
-        records: list[GapRecord] = []
-        seen: set[CoordinateQuery] = set()
-        for queries, table in self._assessed:
-            for q, gap, tol in zip(queries, table[0].tolist(), table[1].tolist()):
-                if q not in seen:
-                    seen.add(q)
-                    records.append(GapRecord(query_id=q.id, gap=gap, tolerance=tol))
-        return records
+        records: dict[CoordinateQuery, GapRecord] = {}
+        for batch, table in self._assessed.items():
+            for q, gap, tol in zip(_queries(batch), table[0].tolist(), table[1].tolist()):
+                records.setdefault(q, GapRecord(query_id=q.id, gap=gap, tolerance=tol))
+        return list(records.values())
 
     def policy(self, true_model: int) -> "AdversarialPairOracle._View":
         if true_model not in (0, 1):
             raise ValidationError("true_model must be 0 or 1")
         return AdversarialPairOracle._View(self, true_model)
 
-    def _column(self, q: CoordinateQuery) -> tuple[float, float, float, float]:
-        # one query's row values, from its family's table if one was assessed
-        if q in self._single:
-            return self._single[q]
-        for family, table in self._families:
-            if q in family:
-                column = self._single[q] = tuple(table[:, family.index(q)].tolist())
-                return column
-        e0 = analytic_expectation(q, self.theta0)
-        e1 = analytic_expectation(q, self.theta1)
-        tol = tolerance(q, e1, self.cfg)
-        gap = abs(e1 - e0)
-        column = self._single[q] = (gap, tol, e0, e1 if gap > tol else e0)
-        self._assessed.append(((q,), np.array(column)[:, None]))
-        return column
-
-    def _family_table(self, family: CoordinateQueryFamily) -> np.ndarray | None:
-        # the family's (4, 4d) table, or None where some query would raise
-        for assessed, table in self._families:
-            if assessed == family:
-                return table
-        e0 = family._expectations(self.theta0)
-        e1 = family._expectations(self.theta1)
-        if e0 is None or e1 is None or _out_of_range(e1, family.bounds).any():
-            return None
+    def _table(self, batch) -> tuple[np.ndarray, _Failure | None]:
+        # the batch's (4, len) table, kept unless some query fails: under
+        # theta0's variance, theta1's, then its range under theta1, in order.
+        # Batches are keyed by their fields, so a reused id with another
+        # truncation or bound is assessed apart
+        if batch in self._assessed:
+            return self._assessed[batch], None
+        e0, failure0 = _expectations(batch, self.theta0)
+        e1, failure1 = _expectations(batch, self.theta1)
+        tol, beyond = _tolerances(batch, e1, self.cfg)
         gap = np.abs(e1 - e0)
-        tol = _tolerances(family.bounds, e1, self.cfg)
         table = np.stack([gap, tol, e0, np.where(gap > tol, e1, e0)])
-        table.setflags(write=False)
-        self._assessed.append((family, table))
-        self._families.append((family, table))
-        return table
+        failure = _first(failure0, failure1, beyond)
+        if failure is None:
+            table.setflags(write=False)
+            self._assessed[batch] = table
+        return table, failure
 
     class _View(OraclePolicy):
         def __init__(self, parent: "AdversarialPairOracle", true_model: int) -> None:
@@ -672,9 +661,6 @@ class AdversarialPairOracle:
             self.parent = parent
             self.true_model = true_model
 
-        def _respond(self, q: CoordinateQuery) -> float:
-            return self.parent._column(q)[2 + self.true_model]
-
-        def _respond_family(self, family: CoordinateQueryFamily) -> np.ndarray | None:
-            table = self.parent._family_table(family)
-            return None if table is None else table[2 + self.true_model]
+        def _answer(self, batch) -> tuple[np.ndarray, _Failure | None]:
+            table, failure = self.parent._table(batch)
+            return table[2 + self.true_model], failure

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ValidationError
 from .model import AltSpec, ModelParams, make_restricted_alternative, sample_dataset
 from .oracle import CoordinateQuery, OracleConfig, tolerance
-from .pairing import between_class_differences
 from .seeding import spawn_rng
 from .theory import (
     hyperbolic_bound_check,
@@ -100,7 +99,9 @@ def _moments_checks(seed: int) -> list[CheckResult]:
     # class-difference mean: alpha * (mu1 - mu0), checked against its own SE
     theta = make_restricted_alternative(AltSpec(support=(0, 2), beta=0.4, d=5), alpha=0.5)
     data = sample_dataset(theta, n, spawn_rng(seed, 21))
-    u = between_class_differences(data)
+    rows0, rows1 = np.flatnonzero(data.labels == 0), np.flatnonzero(data.labels == 1)
+    m = min(len(rows0), len(rows1))  # x1_i - x0_i; the larger class drops its tail
+    u = data.covariates[rows1[:m]] - data.covariates[rows0[:m]]
     resid = np.abs(u.mean(axis=0) - theta.alpha * theta.delta_mu)
     se = u.std(axis=0, ddof=1) / math.sqrt(u.shape[0])
     out.append(

@@ -312,6 +312,12 @@ def test_search_calls_no_batched_factorization(monkeypatch, sigma_kind):
     assert cold == _solve_every_support(w, cov, s)
 
 
+@pytest.mark.parametrize("d, s", [(3, 3), (6, 6), (9, 3), (12, 4), (16, 5), (10, 9)])
+def test_support_columns_are_the_lexicographic_combinations(d, s):
+    plan = exhaustive._support_plan(model.KnownCovariance(np.eye(d)), s)
+    assert plan.columns.T.tolist() == [list(c) for c in combinations(range(d), s)]
+
+
 def test_support_plan_build_logs_one_info_line(caplog):
     # its size and build time go to the log, once per (covariance, s)
     cov = model.KnownCovariance(ar1(13, 0.3))

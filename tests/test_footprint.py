@@ -119,6 +119,15 @@ def test_support_plan_build_stays_under_the_stacked_plan():
     assert peak < math.comb(d, s) * s * (s + 1) * _FLOAT
 
 
+@pytest.mark.parametrize("d, s", [(16, 5), (40, 4)])
+def test_identity_support_plan_build_peaks_near_the_plan(d, s):
+    # the support columns are filled in place, not stacked from a repeated
+    # copy of the columns so far
+    cov = model.KnownCovariance(np.eye(d))
+    peak = _traced_peak(lambda: exhaustive._support_plan(cov, s))
+    assert peak <= 1.25 * exhaustive._support_plan(cov, s).nbytes
+
+
 def test_support_plan_dies_with_its_covariance():
     cov = model.KnownCovariance(ar1(12, 0.3))
     exhaustive.sparse_variance_statistic(stream(93).standard_normal((50, 12)), cov, 3)

@@ -342,14 +342,16 @@ def test_adversarial_views_answer_from_the_assessed_expectations(monkeypatch):
     exact = oracle.analytic_expectation
     family_calls: list[int] = []
     single_calls: list[oracle.CoordinateQuery] = []
-    family_expectations = oracle.CoordinateQueryFamily._expectations
+    expectations = oracle._expectations
 
-    def counting(family, theta):
-        family_calls.append(0 if theta is theta0 else 1)
-        return family_expectations(family, theta)
+    def counting(batch, theta):
+        if isinstance(batch, oracle.CoordinateQuery):
+            single_calls.append(batch)
+        else:
+            family_calls.append(0 if theta is theta0 else 1)
+        return expectations(batch, theta)
 
-    monkeypatch.setattr(oracle.CoordinateQueryFamily, "_expectations", counting)
-    monkeypatch.setattr(oracle, "analytic_expectation", lambda q, theta: single_calls.append(q) or exact(q, theta))
+    monkeypatch.setattr(oracle, "_expectations", counting)
     adv = oracle.AdversarialPairOracle(theta0, theta1, default_oracle_config(cfg))
     t0 = adv.policy(0).query_all(queries)
     t1 = adv.policy(1).query_all(queries)
@@ -624,7 +626,7 @@ _POLICIES = {
 @pytest.mark.parametrize("policy", sorted(_POLICIES))
 def test_family_budget_is_counted_per_query(policy):
     # answered as one vector, a family costs 4d units; a budget that runs out
-    # partway falls back to issuing the queries one at a time
+    # partway raises on the first query past it, with the budget spent
     d = 5
     cfg = TractableConfig(d=d, n=200)
     queries = build_queries(cfg, np.eye(d))
@@ -645,6 +647,41 @@ def test_family_budget_is_counted_per_query(policy):
     with pytest.raises(errors.BudgetExceededError, match=r"signed_mean\[-4\]"):
         spent.query_all(queries)
     assert spent.queries_issued == 4 * d
+
+
+@pytest.mark.parametrize("policy", sorted(_POLICIES))
+def test_a_plain_sequence_is_issued_as_its_family(policy):
+    # a list of the family's queries is issued as lone queries, in order: the
+    # family's answer bits, and under a short budget or with a query that has
+    # no closed form the same error, message and budget spent
+    d = 5
+    cfg = TractableConfig(d=d, n=200)
+    full_cfg = default_oracle_config(cfg)
+    queries = build_queries(cfg, np.eye(d))
+    routes = [
+        lambda p, qs: p.answer_all(qs),
+        lambda p, qs: p.answer_all(list(qs)),
+        lambda p, qs: [r.value for r in p.query_all(list(qs))],
+    ]
+    answers = [route(_POLICIES[policy](full_cfg), queries) for route in routes]
+    assert all(np.array_equal(_bits(a), _bits(answers[0])) for a in answers)
+
+    def outcome(ocfg, qs, route):
+        pol = _POLICIES[policy](ocfg)
+        with pytest.raises(errors.WslabError) as info:
+            route(pol, qs)
+        return type(info.value), str(info.value), pol.queries_issued
+
+    short = dataclasses.replace(full_cfg, budget_T=4 * d - 1)
+    budget = [outcome(short, queries, route) for route in routes]
+    assert budget == [(errors.BudgetExceededError, budget[0][1], 4 * d - 1)] * 3
+    if policy != "empirical":
+        diag = np.ones(d)
+        diag[3] = 2.0  # the models' variance is 1.0
+        apart = oracle.CoordinateQueryFamily(diag, queries.trunc, queries.bounds[0], queries.bounds[d])
+        failed = [outcome(full_cfg, apart, route) for route in routes]
+        assert failed == [(errors.NoAnalyticExpectationError, failed[0][1], 4)] * 3
+        assert "'coord_mean[3]'" in failed[0][1]
 
 
 def test_adversarial_report_keeps_assessment_order_without_duplicates():
