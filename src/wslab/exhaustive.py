@@ -8,14 +8,15 @@ Two statistics drive the information-theoretically optimal test:
 
 The combined test rejects when either reaches its threshold. The variance
 search is exact over all ``C(d, s)`` supports, so it is only usable at desk
-scale; a hard combinatorial budget guards against accidental blowups. For
-``s >= 3`` it bounds, then verifies: a cheap trace bound on every support's
-eigenvalue, and an exact eigenproblem only where that bound can reach the
-best value found. The support plan behind the bound is built once per
-covariance, and both it and the bound come from elementwise recurrences
-over many supports at once, with no LAPACK call. The combined test reads a
-dataset's covariates in place: both statistics need only a ``d x d`` second
-moment and a length-``d`` mean, summed over row blocks.
+scale; a hard combinatorial budget guards against accidental blowups. It
+takes a cheap trace bound on every support's eigenvalue; at ``s <= 2`` that
+bound is the eigenvalue itself, and for ``s >= 3`` an exact eigenproblem
+follows only where the bound can reach the best value found. The support
+plan behind the bound is built once per covariance and ``s``, and both it
+and the bound come from elementwise recurrences over many supports at once,
+with no LAPACK call. The combined test reads a dataset's covariates in
+place: both statistics need only a ``d x d`` second moment and a
+length-``d`` mean, summed over row blocks.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ log = logging.getLogger("wslab")
 
 SUPPORT_BUDGET = 1_000_000
 
-# one batch of the s >= 3 search is _BATCH_VALUES // s^2 supports, so a
-# dataset's pass stays bounded whatever C(d, s) is
+# one batch of the search is _BATCH_VALUES // s^2 supports, so a dataset's
+# pass stays bounded whatever C(d, s) is
 _BATCH_VALUES = 1 << 15
 
 # relative inflation of a support's trace bound: the bound and the exact value
@@ -129,15 +130,15 @@ def sparse_variance_statistic(
     ``w'w / m`` itself. :func:`run_exhaustive_test` forms the same ``G`` from
     the raw covariates without whitening anything.
 
-    ``s = 1`` and ``s = 2`` have closed forms. For ``s >= 3`` the search
-    bounds, then verifies. Per support, ``L = cholesky(B_S)`` reduces the
-    pencil to the symmetric ``R_S = L^{-1} G_S L^{-T}`` with the same
-    eigenvalues. A support plan holds the supports' columns, in lexicographic
-    order, and the ``s (s + 1) / 2`` packed lower entries of each ``L^{-1}``:
-    ``C(d, s) * (s + s (s + 1) / 2)`` float64-sized values (0.71 MB at d=40,
-    s=3; 26 MB at d=50, s=4). At identity ``B_S = 2 I`` for every support, so
-    each factor entry is one float and the plan is its ``C(d, s) * s``
-    columns (26 MB at d=40, s=5). The factors come from the Cholesky and
+    The search bounds every support, then, for ``s >= 3``, verifies. Per
+    support, ``L = cholesky(B_S)`` reduces the pencil to the symmetric ``R_S
+    = L^{-1} G_S L^{-T}`` with the same eigenvalues. A support plan holds the
+    supports' columns, in lexicographic order, and the ``s (s + 1) / 2``
+    packed lower entries of each ``L^{-1}``: ``C(d, s) * (s + s (s + 1) /
+    2)`` float64-sized values (0.80 MB at d=200, s=2; 0.71 MB at d=40, s=3;
+    26 MB at d=50, s=4). At identity ``B_S = 2 I`` for every support, so each
+    factor entry is one float and the plan is its ``C(d, s) * s`` columns
+    (26 MB at d=40, s=5). The factors come from the Cholesky and
     forward-substitution recurrences, each step one elementwise operation
     over all supports, with no LAPACK call. The plan is built on the first
     search for a ``(KnownCovariance, s)`` and freed with that covariance (an
@@ -151,15 +152,17 @@ def sparse_variance_statistic(
       recurrence: each entry is a sum of products in a fixed order, one
       operation over the batch at a time. The trace bound of Wolkowicz and
       Styan (1980), ``m + sqrt((s - 1) / s) ||R_S - m I||_F``, bounds each
-      largest eigenvalue;
-    * once every support is bounded, the exact value ``eigvalsh(R_S - m I) +
-      m`` (the entries formed again for the few supports solved, and set out
-      as ``s x s`` matrices) is computed for the few largest bounds, then in
-      descending bound order, a few supports per call, stopping at the
-      first bound below the best value, so a pruned support can neither
-      beat nor tie the maximum. The recurrences and ``eigvalsh`` treat each
-      support on its own, so a value is the same bits whichever supports
-      share its call.
+      largest eigenvalue. At ``s = 1`` it is ``R_S`` itself, and at ``s = 2``
+      it is the larger root ``m + sqrt(((r_00 - r_11) / 2)^2 + r_01^2)``,
+      so there the first maximal bound is the statistic and its support;
+    * for ``s >= 3``, once every support is bounded, the exact value
+      ``eigvalsh(R_S - m I) + m`` (the entries formed again for the few
+      supports solved, and set out as ``s x s`` matrices) is computed for
+      the few largest bounds, then in descending bound order, a few
+      supports per call, stopping at the first bound below the best value,
+      so a pruned support can neither beat nor tie the maximum. The
+      recurrences and ``eigvalsh`` treat each support on its own, so a
+      value is the same bits whichever supports share its call.
 
     Bound and value come from the same entries and differ only by the
     rounding of the Frobenius sum and of ``eigvalsh``, both relative to the
@@ -167,7 +170,7 @@ def sparse_variance_statistic(
     covers them at any ``kappa``.
 
     Ties go to the first support in lexicographic order, so results are
-    deterministic and equal to solving every support exactly.
+    deterministic and, at ``s >= 3``, equal to solving every support exactly.
 
     Raises :class:`CombinatorialBudgetError` when ``C(d, s)`` exceeds
     ``SUPPORT_BUDGET``, before any work, and :class:`ValidationError` when
@@ -213,19 +216,6 @@ def _whitened_moment(w: np.ndarray, cov: KnownCovariance) -> np.ndarray:
 def _variance_search(g: np.ndarray, cov: KnownCovariance, s: int) -> tuple[float, tuple[int, ...]]:
     # the search over supports of the pencil (G, 2 Sigma^{-1}); s is checked
     # and G finite
-    b = cov.twice_precision
-
-    if s == 1:
-        ratios = np.diag(g) / np.diag(b)
-        j = int(np.argmax(ratios))
-        return float(ratios[j]), (j,)
-
-    if s == 2:
-        jj, kk = _pair_index(cov)
-        lam = _pair_values(g, b, jj, kk)
-        idx = int(np.argmax(lam))
-        return float(lam[idx]), (int(jj[idx]), int(kk[idx]))
-
     plan = _support_plan(cov, s)
     bounds = np.empty(plan.columns.shape[1])
     batch = max(1, _BATCH_VALUES // (s * s))
@@ -238,6 +228,11 @@ def _variance_search(g: np.ndarray, cov: KnownCovariance, s: int) -> tuple[float
         np.sqrt(bound, out=bound)
         bound *= math.sqrt((s - 1) / s)
         np.add(m, bound, out=bounds[at])
+    if s <= 2:
+        # the bound of a 1 x 1 or 2 x 2 R_S is its largest eigenvalue, so the
+        # first maximal bound is the value and its support
+        best_at = int(np.argmax(bounds))
+        return float(bounds[best_at]), tuple(plan.columns[:, best_at].tolist())
     bounds *= 1.0 + _BOUND_MARGIN
     # the largest bounds, found without a sort, give a best value; only the
     # supports whose bound reaches it are then sorted. Every support whose
@@ -249,43 +244,6 @@ def _variance_search(g: np.ndarray, cov: KnownCovariance, s: int) -> tuple[float
     reach = np.flatnonzero(bounds >= best)
     best, best_at = _verify(plan, g, bounds, reach[np.argsort(bounds[reach])[::-1]], best, best_at)
     return best, tuple(plan.columns[:, best_at].tolist())
-
-
-def _pair_values(g: np.ndarray, b: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> np.ndarray:
-    # the larger root of det(G_S - lam B_S) = 0 for every pair S = (jj, kk):
-    # lam = 0.5 (tr + sqrt(max(tr^2 - 4 det, 0))) with
-    # tr = (b11 g00 + b00 g11 - 2 b01 g01) / det_b,
-    # det = (g00 g11 - g01^2) / det_b and det_b = b00 b11 - b01^2, each
-    # operation in that order. Entries are gathered as they are needed and
-    # buffers reused, so no more than five pair-long arrays are alive at once
-    # (the indices are in range; unlike "raise", "clip" fills out in place)
-    gd, bd = np.diag(g), np.diag(b)
-    b00, b11, b01 = bd[jj], bd[kk], b[jj, kk]
-    det_b = b00 * b11
-    work = np.multiply(b01, b01)
-    det_b -= work
-    tr = b11
-    tr *= np.take(gd, jj, out=work, mode="clip")  # b11 g00
-    g11 = np.take(gd, kk, out=work, mode="clip")
-    b00 *= g11
-    tr += b00
-    del b00
-    g01 = g[jj, kk]
-    b01 *= 2.0
-    b01 *= g01
-    tr -= b01
-    det = np.take(gd, jj, out=b01, mode="clip")  # g00
-    det *= g11
-    det -= np.multiply(g01, g01, out=g11)
-    tr /= det_b
-    det /= det_b
-    disc = np.multiply(tr, tr, out=det_b)
-    det *= 4.0
-    disc -= det
-    np.maximum(disc, 0.0, out=disc)
-    tr += np.sqrt(disc, out=disc)
-    tr *= 0.5
-    return tr
 
 
 def _verify(plan: _SupportPlan, g: np.ndarray, bounds: np.ndarray, order: np.ndarray,
@@ -317,20 +275,8 @@ class _SupportPlan(NamedTuple):
         return sum(a.nbytes for a in (self.columns, *self.inv_factor) if isinstance(a, np.ndarray))
 
 
-# one plan per (covariance, s), freed with its covariance; at s = 2, the
-# pair index arrays of _pair_index
-_PLANS: weakref.WeakKeyDictionary[
-    KnownCovariance, dict[int, _SupportPlan | tuple[np.ndarray, np.ndarray]]
-] = weakref.WeakKeyDictionary()
-
-
-def _pair_index(cov: KnownCovariance) -> tuple[np.ndarray, np.ndarray]:
-    # the (j, k), j < k, of every pair in lexicographic order; shared, so
-    # never written. They stay writeable: np.take copies a read-only index
-    plans = _PLANS.setdefault(cov, {})
-    if 2 not in plans:
-        plans[2] = np.triu_indices(cov.d, k=1)
-    return plans[2]
+# one plan per (covariance, s), freed with its covariance
+_PLANS: weakref.WeakKeyDictionary[KnownCovariance, dict[int, _SupportPlan]] = weakref.WeakKeyDictionary()
 
 
 def _support_plan(cov: KnownCovariance, s: int) -> _SupportPlan:

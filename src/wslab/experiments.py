@@ -222,7 +222,7 @@ class _SweepContext:
 
     It pickles as its inputs ``(grid, tests, sigma array, null_mu_scale, R, C,
     xi)``, so a worker process builds its own covariance, thresholds, query
-    family and (at ``s >= 3``) support plan.
+    family and support plan.
     """
 
     def __init__(self, grid: SweepGrid, tests: tuple[str, ...], sigma: np.ndarray | KnownCovariance,

@@ -27,13 +27,14 @@ mean) all come from its fields, so every policy answers the same query.
 
 Every policy issues a batch, a lone query or a family, through one rule: it
 answers the whole batch as a float vector in issue order, finds the first
-query with no closed form or an expectation beyond its bound, and charges
-and raises exactly as issuing the queries one at a time would. The
-worst-case and adversarial answers come from one table of expectations and
-tolerances over the batch's columns, so a query's answer has the same bits
-however it is issued. An ``OracleResponse`` is built only where a caller
-asks for one (``query``, ``query_all``), and a pair oracle's gap records
-only when its ``report`` is read.
+query of a coordinate past the dimension, with no closed form or with an
+expectation beyond its bound, and charges and raises exactly as issuing the
+queries one at a time would. The worst-case and adversarial answers come
+from one table of expectations and tolerances over the batch's columns, so
+a query's answer has the same bits however it is issued. An
+``OracleResponse`` is built only where a caller asks for one (``query``,
+``query_all``), and a pair oracle's gap records only when its ``report`` is
+read.
 
 The honest oracle reads the covariates in row blocks of ``_BLOCK_ELEMENTS //
 d`` rows, in place. A query's sum adds the rows of each block in row order
@@ -52,6 +53,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
+    DimMismatchError,
     ExpectationOutOfRangeError,
     NoAnalyticExpectationError,
     UnsupportedQueryKindError,
@@ -117,6 +119,8 @@ class CoordinateQuery:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise UnsupportedQueryKindError(f"unknown query kind {self.kind!r}")
+        if self.j < 0:
+            raise ValidationError(f"coordinate j must be nonnegative, got {self.j}")
         if self.sign not in (-1, 1):
             raise ValidationError(f"sign must be +1 or -1, got {self.sign}")
         if self.sign < 0 and self.kind != "signed_label_mean":
@@ -402,7 +406,12 @@ def _truncated_moments(mean: float, t: float) -> tuple[float, float, float]:
     """
     a = -t - mean
     b = t - mean
-    p = _Phi(b) - _Phi(a)
+    if abs(mean) > t:
+        # a window in one tail, where both _Phi values round to 1 (or 0): the
+        # mass from the erfc of its edges' distances past the mean, by symmetry
+        p = 0.5 * (math.erfc((abs(mean) - t) / _SQRT2) - math.erfc((abs(mean) + t) / _SQRT2))
+    else:
+        p = _Phi(b) - _Phi(a)
     dphi = _phi(a) - _phi(b)
     m1 = mean * p + dphi
     m2 = (1.0 + mean * mean) * p + 2.0 * mean * dphi + a * _phi(a) - b * _phi(b)
@@ -419,11 +428,14 @@ def _expectations(batch, theta: ModelParams) -> tuple[np.ndarray, _Failure | Non
     ``analytic_expectation`` give each column's mean, second-moment and "+"
     signed-label expectations. These are laid out as the family's four
     groups, or as the lone query's kind and sign. A query standardized with
-    a variance apart from the model's has no closed form; the first is
-    returned as ``(index, NoAnalyticExpectationError)``.
+    a variance apart from the model's has no closed form, and a query of a
+    coordinate the model lacks none either; the first such query is
+    returned as ``(index, NoAnalyticExpectationError)`` or ``(index,
+    DimMismatchError)``.
     """
     lone = isinstance(batch, CoordinateQuery)
-    columns = [batch.j] if lone else np.arange(len(batch.diag))
+    # a coordinate the model lacks is read as its last one, and then fails
+    columns = np.minimum([batch.j] if lone else np.arange(len(batch.diag)), theta.d - 1)
     diag = np.array([batch.sigma_jj]) if lone else batch.diag
     standardized = np.divide(np.stack([theta.mu0[columns], theta.mu1[columns]]), np.sqrt(diag)).ravel()
     distinct, at = np.unique(standardized, return_inverse=True)
@@ -438,15 +450,28 @@ def _expectations(batch, theta: ModelParams) -> tuple[np.ndarray, _Failure | Non
     expectation = groups[list(_KINDS).index(batch.kind) + (batch.sign < 0)] if lone else groups.ravel()
     model_var = theta.cov.diag[columns]
     apart = np.flatnonzero(_variance_apart(diag, model_var))
+    missing = _missing_coordinate(batch, theta.d)
     if not apart.size:
-        return expectation, None
+        return expectation, missing
     # a family's coordinate means come first, so column j's first query is query j
     j = int(apart[0])
     q = _queries(batch)[j]
-    return expectation, (j, NoAnalyticExpectationError(
+    return expectation, _first(missing, (j, NoAnalyticExpectationError(
         f"query {q.id!r} was standardized with variance {q.sigma_jj:.6g} "
         f"but the model has {model_var[j]:.6g}"
-    ))
+    )))
+
+
+def _missing_coordinate(batch, d: int) -> _Failure | None:
+    # the first query of a coordinate past a d-dimensional model's or
+    # dataset's: a lone query itself, or a family's query d, the mean of
+    # coordinate d (its coordinate means come first)
+    i = 0 if isinstance(batch, CoordinateQuery) else d
+    queries = _queries(batch)
+    if i >= len(queries) or queries[i].j < d:
+        return None
+    q = queries[i]
+    return i, DimMismatchError(f"query {q.id!r} reads coordinate {q.j}, but the dimension is {d}")
 
 
 def analytic_expectation(q: CoordinateQuery, theta: ModelParams) -> float:
@@ -536,8 +561,9 @@ class OraclePolicy:
         return values
 
     def _answer(self, batch) -> tuple[np.ndarray, _Failure | None]:  # pragma: no cover - abstract
-        """A batch's answers in issue order, and its first query with no
-        closed form or an expectation beyond its bound."""
+        """A batch's answers in issue order, and its first query of a
+        coordinate past the dimension, with no closed form or with an
+        expectation beyond its bound."""
         raise NotImplementedError
 
 
@@ -557,7 +583,9 @@ class EmpiricalOracle(OraclePolicy):
         super().__init__(cfg)
         self.data = data
 
-    def _answer(self, batch) -> tuple[np.ndarray, None]:
+    def _answer(self, batch) -> tuple[np.ndarray, _Failure | None]:
+        if failure := _missing_coordinate(batch, self.data.d):
+            return np.full(len(_queries(batch)), np.nan), failure
         if isinstance(batch, CoordinateQueryFamily):
             return batch.column_means(self.data.labels, self.data.covariates), None
         values = batch.evaluate(self.data.labels, self.data.covariates)

@@ -141,7 +141,7 @@ def test_generic_path_agrees_with_pair_path():
     sigma = spd_matrix(rng, 6)
     w = rng.standard_normal((300, 6)) * math.sqrt(2)
     fast, support_fast = exhaustive.sparse_variance_statistic(w, sigma, 2)
-    # force the generic eigensolver route by monkey-free direct computation
+    # the s = 2 trace bound against scipy's generalized eigh of every pair
     root = pairing_inverse_sqrt(sigma)
     y = w @ root
     g = y.T @ y / w.shape[0]
@@ -184,6 +184,17 @@ def test_ties_go_to_the_lexicographically_first_support():
     stat, support = exhaustive.sparse_variance_statistic(w, np.eye(50), 3)
     assert stat == pytest.approx(6.0, rel=1e-12)  # 3 * 4 / 2
     assert support == (0, 18, 30)
+
+
+def test_pair_ties_go_to_the_lexicographically_first_pair():
+    # at s = 2 the bound is the value: every pair of the four equal strong
+    # columns has the same entries, so the same bound, and the first wins
+    rng = stream(28)
+    w = rng.choice([-1.0, 1.0], size=(256, 50))
+    w[:, [0, 18, 30, 40]] = 2.0 * rng.choice([-1.0, 1.0], size=(256, 1))
+    stat, support = exhaustive.sparse_variance_statistic(w, np.eye(50), 2)
+    assert stat == pytest.approx(4.0, rel=1e-12)  # 2 * 4 / 2
+    assert support == (0, 18)
 
 
 def _solve_every_support(w, sigma, s, batch=4096):
@@ -330,7 +341,7 @@ def test_support_plan_build_logs_one_info_line(caplog):
     assert record.getMessage().startswith(f"support plan: C(13, 4) = 715 supports, {plan_bytes} bytes, built in ")
 
 
-@pytest.mark.parametrize("d, s", [(16, 3), (13, 4)])
+@pytest.mark.parametrize("d, s", [(16, 1), (16, 2), (16, 3), (13, 4)])
 def test_ill_conditioned_search_matches_the_generalized_eigenproblem(d, s):
     # independent route at kappa = 1e8: scipy's generalized eigh of every
     # pencil (G_S, B_S), first maximum wins
@@ -385,7 +396,7 @@ def _long_double_statistic(data, sigma, s):
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than float64")
-@pytest.mark.parametrize("d, s", [(16, 3), (13, 4)])
+@pytest.mark.parametrize("d, s", [(16, 1), (16, 2), (16, 3), (13, 4)])
 def test_ill_conditioned_statistic_matches_a_long_double_reference(d, s):
     # at kappa = 1e8 the sweep's route (P C P from the raw covariates) and the
     # whitened route are both within 1e-7 relative of the exact statistic

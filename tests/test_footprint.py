@@ -3,12 +3,11 @@
 numpy reports its array buffers to tracemalloc, so the traced peak of a call
 is the most memory its temporaries and result held at once. These bounds pin
 that the query family's pass and the variance search work in cache-sized
-blocks, that the s = 2 search holds a few pair-long arrays, that sampling
+blocks, that a warm s = 2 search holds a few pair-long arrays, that sampling
 makes no transient ``n x d`` copy, that the exhaustive test reads the
 covariates in place (no pair- or class-difference array), that a sweep holds
 one dataset at a time, that the search's support plan has its stated size
-and dies with its covariance, that the s = 2 pair index is built once per
-covariance and dies with it, and that a sweep leaves no reference cycle
+and dies with its covariance, and that a sweep leaves no reference cycle
 behind, without timing anything.
 """
 
@@ -75,12 +74,13 @@ def test_exhaustive_test_reads_the_covariates_in_place():
 
 
 def test_pair_search_holds_a_few_pair_long_arrays():
-    # the s = 2 closed form over all C(d, 2) pairs: two index arrays and five
-    # float buffers, not an array per intermediate
+    # a warm s = 2 search over all C(d, 2) pairs: one bound per pair and a
+    # batch's entries, not an array per intermediate over every pair
     d = 200
     cov = model.KnownCovariance(ar1(d, 0.5))
     w = stream(96).standard_normal((400, d))
     g = w.T @ w / len(w)
+    exhaustive._support_plan(cov, 2)
     peak = _traced_peak(lambda: exhaustive._variance_search(g, cov, 2))
     assert peak <= 8 * math.comb(d, 2) * _FLOAT
 
@@ -94,7 +94,7 @@ def test_sweep_holds_one_dataset_at_a_time():
     assert peak <= 1.25 * n * d * _FLOAT
 
 
-@pytest.mark.parametrize("d, s", [(40, 3), (16, 5)])
+@pytest.mark.parametrize("d, s", [(40, 2), (40, 3), (16, 5)])
 def test_support_plan_holds_indices_and_inverse_factors_only(d, s):
     # the support columns and the packed lower entries of each L_S^{-1}
     plan = exhaustive._support_plan(model.KnownCovariance(ar1(d, 0.3)), s)
@@ -102,7 +102,7 @@ def test_support_plan_holds_indices_and_inverse_factors_only(d, s):
     assert plan.nbytes == math.comb(d, s) * (s + s * (s + 1) // 2) * _FLOAT
 
 
-@pytest.mark.parametrize("d, s", [(40, 3), (16, 5)])
+@pytest.mark.parametrize("d, s", [(40, 2), (40, 3), (16, 5)])
 def test_identity_support_plan_holds_indices_only(d, s):
     # at identity each factor entry is the same for every support: one float
     plan = exhaustive._support_plan(model.KnownCovariance(np.eye(d)), s)
@@ -129,30 +129,20 @@ def test_identity_support_plan_build_peaks_near_the_plan(d, s):
 
 
 def test_support_plan_dies_with_its_covariance():
+    # one plan per s, built by the first search and reused by the next
     cov = model.KnownCovariance(ar1(12, 0.3))
-    exhaustive.sparse_variance_statistic(stream(93).standard_normal((50, 12)), cov, 3)
-    plan = exhaustive._support_plan(cov, 3)
-    arrays = [weakref.ref(a) for a in (plan.columns, *plan.inv_factor)]
+    w = stream(93).standard_normal((50, 12))
+    arrays = []
+    for s in (2, 3):
+        first = exhaustive.sparse_variance_statistic(w, cov, s)
+        plan = exhaustive._support_plan(cov, s)
+        assert exhaustive.sparse_variance_statistic(w, cov, s) == first
+        assert exhaustive._support_plan(cov, s) is plan
+        arrays += [weakref.ref(a) for a in (plan.columns, *plan.inv_factor)]
     assert all(a() is not None for a in arrays)
     del cov, plan
     gc.collect()
     assert all(a() is None for a in arrays)
-
-
-def test_pair_index_is_built_once_per_covariance_and_dies_with_it(monkeypatch):
-    built = []
-    triu = np.triu_indices
-    monkeypatch.setattr(np, "triu_indices", lambda *a, **k: built.append(a) or triu(*a, **k))
-    cov = model.KnownCovariance(ar1(12, 0.3))
-    g = stream(94).standard_normal((50, 12))
-    first = exhaustive.sparse_variance_statistic(g, cov, 2)
-    jj = exhaustive._pair_index(cov)[0]
-    assert exhaustive.sparse_variance_statistic(g, cov, 2) == first
-    assert built == [(12,)]
-    index = weakref.ref(jj)
-    del cov, jj
-    gc.collect()
-    assert index() is None
 
 
 def test_sweep_leaves_no_reference_cycle():

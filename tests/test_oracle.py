@@ -85,6 +85,27 @@ def test_truncated_moments_symmetric_interval_zero_mean():
     assert 0.0 < m2 < p  # mass pulled toward the center
 
 
+def test_truncated_moments_keep_their_accuracy_in_one_tail():
+    # a window [-t, t] wholly to one side of the mean, where both normal cdfs
+    # round to 1 or 0, so their difference keeps no digit of the mass:
+    # scipy's tail function and truncated normal give the mass and the
+    # normalized moments
+    from scipy.stats import norm, truncnorm
+
+    for mean in (-40.0, -25.0, -10.0, -3.0, 1.5, 4.0, 12.0, 25.0):
+        for t in (0.5, 1.0, 2.5, 10.0, 30.0):
+            lo, hi = abs(mean) - t, abs(mean) + t
+            if not 0.0 < lo <= 30.0:  # one tail, with a mass far from underflow
+                continue
+            mass = norm.sf(lo) - norm.sf(hi)
+            window = truncnorm(-t - mean, t - mean, loc=mean)
+            p, m1, m2 = oracle._truncated_moments(mean, t)
+            assert p == pytest.approx(mass, rel=1e-9, abs=0.0), (mean, t)
+            assert m1 == pytest.approx(mass * window.mean(), rel=1e-9, abs=0.0), (mean, t)
+            assert m2 == pytest.approx(mass * window.moment(2), rel=1e-9, abs=0.0), (mean, t)
+            assert m2 > 0.0
+
+
 def test_analytic_expectation_null_symmetry():
     theta = model.ModelParams(np.zeros(3), np.zeros(3), np.eye(3), 0.5)
     q_mean = oracle.CoordinateQuery("coordinate_mean", 0, 2.5, 1.0, 2.5)
@@ -682,6 +703,27 @@ def test_a_plain_sequence_is_issued_as_its_family(policy):
         failed = [outcome(full_cfg, apart, route) for route in routes]
         assert failed == [(errors.NoAnalyticExpectationError, failed[0][1], 4)] * 3
         assert "'coord_mean[3]'" in failed[0][1]
+
+
+@pytest.mark.parametrize("policy", sorted(_POLICIES))
+def test_a_coordinate_past_the_dimension_raises_a_typed_error(policy):
+    # a d=7 family on 5-dimensional models and data: its query 5, the mean of
+    # coordinate 5, fails with the budget spent as issuing the queries one at
+    # a time would spend it, and the lone query with one unit spent
+    full_cfg = default_oracle_config(TractableConfig(d=5, n=200))
+    wide = build_queries(TractableConfig(d=7, n=200), np.eye(7))
+    routes = {
+        5 + 1: [lambda p: p.answer_all(wide), lambda p: p.answer_all(list(wide)), lambda p: p.query_all(wide)],
+        1: [lambda p: p.query(wide[5]), lambda p: p.answer_all([wide[5]])],
+    }
+    for spent, issues in routes.items():
+        for issue in issues:
+            pol = _POLICIES[policy](full_cfg)
+            with pytest.raises(errors.DimMismatchError, match=r"'coord_mean\[5\]' reads coordinate 5, but the dimension is 5"):
+                issue(pol)
+            assert pol.queries_issued == spent
+    with pytest.raises(errors.ValidationError, match="nonnegative"):
+        oracle.CoordinateQuery("coordinate_mean", -1, 1.0, 1.0, 1.0)
 
 
 def test_adversarial_report_keeps_assessment_order_without_duplicates():
